@@ -165,7 +165,9 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		if err != nil {
 			return testing.BenchmarkResult{}, false
 		}
-		c.SetAngle(60)
+		if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 60, Gain: 1}}); err != nil {
+			return testing.BenchmarkResult{}, false
+		}
 		hop := c.BlockSize() / 2
 		in := make([]float64, hop)
 		for i := range in {

@@ -38,9 +38,8 @@ type Plan struct {
 	bFFTFwd []complex128
 	bFFTInv []complex128
 
-	// scratch recycles one []complex128 of the plan's working length
-	// (m for Bluestein, n/2 for the real-input trick) per concurrent
-	// transform.
+	// scratch recycles one m-length []complex128 per concurrent
+	// Bluestein transform.
 	scratch sync.Pool
 
 	// Real-input state, built on first ForwardReal for even n: the
@@ -268,6 +267,8 @@ func (p *Plan) bluesteinTransform(x []complex128, inverse bool) {
 // into dst (both of the plan's size). Even sizes use the half-size complex
 // trick — one n/2-point transform plus an untangling pass — instead of
 // widening src to complex128; odd sizes fall back to the complex kernel.
+// The half-size transform runs in the upper half of dst, so this path
+// needs no scratch.
 func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 	if len(dst) != p.n || len(src) != p.n {
 		panic("dsp: FFT plan size mismatch")
@@ -290,16 +291,9 @@ func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 			ang := -2 * math.Pi * float64(k) / float64(n)
 			p.rtw[k] = complex(math.Cos(ang), math.Sin(ang))
 		}
-		if p.scratch.New == nil {
-			p.scratch.New = func() any {
-				buf := make([]complex128, h)
-				return &buf
-			}
-		}
 	})
 	h := n / 2
-	zPtr := p.scratch.Get().(*[]complex128)
-	z := (*zPtr)[:h]
+	z := dst[h:]
 	for j := 0; j < h; j++ {
 		z[j] = complex(src[2*j], src[2*j+1])
 	}
@@ -307,15 +301,27 @@ func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 	// Untangle: with E/O the spectra of the even/odd samples,
 	//   E[k] = (Z[k] + conj(Z[h-k]))/2,  O[k] = (Z[k] - conj(Z[h-k]))·(-i/2),
 	//   X[k] = E[k] + W^k·O[k],  X[k+h] = E[k] - W^k·O[k].
-	for k := 0; k < h; k++ {
-		zk := z[k]
-		zc := z[(h-k)%h]
-		zc = complex(real(zc), -imag(zc))
-		e := (zk + zc) * 0.5
-		o := (zk - zc) * complex(0, -0.5)
-		wo := p.rtw[k] * o
-		dst[k] = e + wo
-		dst[k+h] = e - wo
+	// Bins k and j = h-k read only Z[k] and Z[j], and their upper outputs
+	// X[k+h], X[j+h] overwrite exactly those two, so each pair is read
+	// before either half is written.
+	for k := 0; k <= h/2; k++ {
+		j := (h - k) % h
+		zk, zj := z[k], z[j]
+		p.untangle(dst, k, zk, zj)
+		if j != k {
+			p.untangle(dst, j, zj, zk)
+		}
 	}
-	p.scratch.Put(zPtr)
+}
+
+// untangle writes bins k and k+n/2 of a real-input spectrum from the
+// half-size transform values Z[k] and Z[(n/2-k) mod n/2].
+func (p *Plan) untangle(dst []complex128, k int, zk, zc complex128) {
+	h := len(p.rtw)
+	zc = complex(real(zc), -imag(zc))
+	e := (zk + zc) * 0.5
+	o := (zk - zc) * complex(0, -0.5)
+	wo := p.rtw[k] * o
+	dst[k] = e + wo
+	dst[k+h] = e - wo
 }

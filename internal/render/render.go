@@ -8,7 +8,6 @@ package render
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/hrtf"
 	"repro/internal/room"
@@ -29,148 +28,73 @@ type Renderer struct {
 var ErrNoTable = errors.New("render: renderer needs a populated table")
 
 // RenderMoving renders a mono source whose direction changes over time.
-// angleAt maps a time in seconds (from the start of the signal) to the
-// source's polar angle in degrees; angles are clamped/mirrored into the
-// table's span. The output has the length of the input plus the HRIR tail.
+// bearingAt maps a time in seconds (from the start of the signal) to the
+// source's polar angle in degrees (0° straight ahead, 90° at the left
+// ear); angles beyond the table span render through their mirror with the
+// ears swapped. The output has the length of the input plus the HRIR
+// tail.
 //
-// The whole-buffer path is a thin wrapper over the streaming engine
-// (stream.Convolver): the signal is pushed through in one go with angleAt
-// sampled at each block center, so batch and live renders share one kernel
-// — 50%-overlap Bartlett blocks whose windows sum to one, so a static
-// source renders exactly as a single convolution — and cannot drift apart.
-func (r *Renderer) RenderMoving(mono []float64, angleAt func(t float64) float64) (left, right []float64, err error) {
+// The whole-buffer path drives the streaming engine — a one-source
+// stream.Scene fed one hop at a time, with bearingAt sampled at each block
+// center — so batch and live renders share one kernel: 50%-overlap
+// Bartlett blocks whose windows sum to one, so a static source renders
+// exactly as a single convolution.
+func (r *Renderer) RenderMoving(mono []float64, bearingAt func(t float64) float64) (left, right []float64, err error) {
 	if r.Table == nil || r.Table.NumAngles() == 0 {
 		return nil, nil, ErrNoTable
+	}
+	if bearingAt == nil {
+		return nil, nil, errors.New("render: moving render needs an angle source")
 	}
 	if len(mono) == 0 {
 		return nil, nil, nil
 	}
-	c, err := stream.NewConvolver(r.Table, stream.ConvolverOptions{
-		BlockSize: r.BlockSize,
-		// One push must accept the whole signal: batch rendering has no
-		// backpressure.
-		MaxPending: len(mono) + 1,
-	})
+	// The source's bearing is set from bearingAt before every block.
+	left, right, err = renderScene(r.Table, stream.SceneOptions{
+		Convolver: stream.ConvolverOptions{BlockSize: r.BlockSize},
+		Sources:   []stream.SceneSource{{}},
+	}, mono, bearingAt)
 	if err != nil {
 		return nil, nil, ErrNoTable
 	}
-	c.SetAngleFunc(angleAt)
-	c.Push(mono)
-	c.Flush()
-	outLen := len(mono) + c.TailLen()
-	left = make([]float64, outLen)
-	right = make([]float64, outLen)
-	c.Read(left, right)
 	return left, right, nil
 }
 
-// mirrorIntoSpan folds an arbitrary angle into the table's tabulated span
-// ([0,180] for the standard left-hemisphere table): right-hemisphere
-// angles map to their mirror (callers handling true right-side sources
-// should swap channels; HeadTracker does). It is the streaming engine's
-// stream.FoldIntoSpan with the hemisphere flag dropped, so batch and
-// stream folds cannot diverge.
-func mirrorIntoSpan(angleDeg float64, t *hrtf.Table) float64 {
-	a, _ := stream.FoldIntoSpan(angleDeg, t)
-	return a
-}
-
-// HeadTracker renders a world-fixed source for a listener whose head yaw
-// changes over time (earphone IMU input): the relative angle is
-// recomputed per block and the channels swap when the source crosses to
-// the right hemisphere.
-type HeadTracker struct {
-	// Renderer does the block rendering.
-	Renderer Renderer
-	// SourceDeg is the world-fixed source bearing.
-	SourceDeg float64
-	// YawAt maps time (s) to the listener's head yaw (degrees).
-	YawAt func(t float64) float64
-}
-
-// Render produces the binaural stream for the tracked scene.
-func (ht *HeadTracker) Render(mono []float64) (left, right []float64, err error) {
-	if ht.YawAt == nil {
-		return nil, nil, errors.New("render: head tracker needs a yaw source")
+// renderScene renders mono through the one-source scene opt describes on
+// the streaming schedule. The input goes in one hop per push, and push m
+// completes exactly the block centered on sample m·hop, so bearingAt
+// (when set) is sampled at that center just before the push — where a
+// live stream would turn the source. The input is zero-padded to a whole
+// hop (the flushed final blocks read zeros past the end either way) and
+// the output is cut back to len(mono) + TailLen().
+func renderScene(t *hrtf.Table, opt stream.SceneOptions, mono []float64, bearingAt func(t float64) float64) (left, right []float64, err error) {
+	// The scene must buffer the whole signal: batch rendering has no
+	// backpressure.
+	opt.Convolver.MaxPending = len(mono) + 1
+	sc, err := stream.NewScene(t, opt)
+	if err != nil {
+		return nil, nil, err
 	}
-	rel := func(t float64) float64 { return ht.SourceDeg - ht.YawAt(t) }
-	// Render per hemisphere: blocks where the source is on the right use
-	// mirrored angles with swapped channels. We approximate by rendering
-	// with the mirrored angle track and swapping whole-signal when the
-	// source spends the majority of time on the right — block-accurate
-	// swapping happens inside by splitting the signal at crossings.
-	return ht.renderSwapAware(mono, rel)
-}
-
-func (ht *HeadTracker) renderSwapAware(mono []float64, rel func(t float64) float64) (left, right []float64, err error) {
-	sr := ht.Renderer.Table.SampleRate
-	block := ht.Renderer.BlockSize
-	if block <= 0 {
-		block = int(0.02 * sr)
-	}
-	// Split the input into maximal runs on one hemisphere, render each
-	// run, and mix with channel swapping where needed.
-	n := len(mono)
-	outLen := 0
-	var spans []struct {
-		start, end int
-		rightSide  bool
-	}
-	cur := 0
-	curSide := onRight(rel(0))
-	for i := block; i < n; i += block {
-		side := onRight(rel(float64(i) / sr))
-		if side != curSide {
-			spans = append(spans, struct {
-				start, end int
-				rightSide  bool
-			}{cur, i, curSide})
-			cur, curSide = i, side
+	hop := sc.BlockSize() / 2
+	padded := make([]float64, (len(mono)+hop-1)/hop*hop)
+	copy(padded, mono)
+	// Source 0 always exists, so SetBearing and PushFrame cannot fail, and
+	// MaxPending covers the whole signal, so every push is accepted.
+	for off := 0; ; off += hop {
+		if bearingAt != nil {
+			_ = sc.SetBearing(0, bearingAt(float64(off)/t.SampleRate))
 		}
-	}
-	spans = append(spans, struct {
-		start, end int
-		rightSide  bool
-	}{cur, n, curSide})
-
-	var outL, outR []float64
-	for _, sp := range spans {
-		seg := mono[sp.start:sp.end]
-		l, r, err := ht.Renderer.RenderMoving(seg, func(t float64) float64 {
-			return rel(t + float64(sp.start)/sr)
-		})
-		if err != nil {
-			return nil, nil, err
+		if off == len(padded) {
+			break
 		}
-		if sp.rightSide {
-			l, r = r, l
-		}
-		if need := sp.start + len(l); need > outLen {
-			outLen = need
-		}
-		outL = growMix(outL, l, sp.start)
-		outR = growMix(outR, r, sp.start)
+		_, _ = sc.PushFrame(0, padded[off:off+hop])
 	}
-	return outL, outR, nil
-}
-
-func onRight(relDeg float64) bool {
-	a := math.Mod(relDeg, 360)
-	if a < 0 {
-		a += 360
-	}
-	return a > 180
-}
-
-func growMix(dst, src []float64, offset int) []float64 {
-	need := offset + len(src)
-	if need > len(dst) {
-		dst = append(dst, make([]float64, need-len(dst))...)
-	}
-	for i, v := range src {
-		dst[offset+i] += v
-	}
-	return dst
+	sc.Flush()
+	left = make([]float64, len(padded)+sc.TailLen())
+	right = make([]float64, len(left))
+	sc.ReadFrame(left, right)
+	n := len(mono) + sc.TailLen()
+	return left[:n], right[:n], nil
 }
 
 // RoomRenderer implements §7's extension: render a source inside a room by
@@ -186,13 +110,12 @@ type RoomRenderer struct {
 // Render places the mono source at the given polar angle and distance
 // (metres) inside the room and returns the reverberant binaural pair.
 //
-// Like RenderMoving, the whole-buffer path is a thin wrapper over the
-// streaming engine — here a one-source stream.Scene — so batch and live
+// Like RenderMoving, the whole-buffer path drives a one-source
+// stream.Scene (here with the room's image arrivals), so batch and live
 // room renders share one kernel and cannot drift apart (the scene tests
 // pin them sample-for-sample). The direct path folds into the table span
 // exactly like the image arrivals: a right-hemisphere source (say 250°)
-// renders through its 110° mirror with the ears swapped, instead of the
-// historical bug of clamping it to 180°.
+// renders through its 110° mirror with the ears swapped.
 func (rr *RoomRenderer) Render(mono []float64, angleDeg, distance float64) (left, right []float64, err error) {
 	if rr.Table == nil || rr.Table.NumAngles() == 0 {
 		return nil, nil, ErrNoTable
@@ -200,15 +123,10 @@ func (rr *RoomRenderer) Render(mono []float64, angleDeg, distance float64) (left
 	if len(mono) == 0 {
 		return nil, nil, nil
 	}
-	sc, err := stream.NewScene(rr.Table, stream.SceneOptions{
-		Convolver: stream.ConvolverOptions{
-			// One push must accept the whole signal: batch rendering has
-			// no backpressure.
-			MaxPending: len(mono) + 1,
-		},
+	left, right, err = renderScene(rr.Table, stream.SceneOptions{
 		Room:    rr.Room,
 		Sources: []stream.SceneSource{{BearingDeg: angleDeg, Distance: distance}},
-	})
+	}, mono, nil)
 	if err != nil {
 		if rr.Room.MaxOrder > 0 {
 			if verr := rr.Room.Validate(); verr != nil {
@@ -217,11 +135,5 @@ func (rr *RoomRenderer) Render(mono []float64, angleDeg, distance float64) (left
 		}
 		return nil, nil, ErrNoTable
 	}
-	sc.PushFrame(0, mono)
-	sc.Flush()
-	outLen := len(mono) + sc.TailLen()
-	left = make([]float64, outLen)
-	right = make([]float64, outLen)
-	sc.ReadFrame(left, right)
 	return left, right, nil
 }

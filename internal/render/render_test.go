@@ -1,7 +1,11 @@
 package render
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dsp"
@@ -9,6 +13,7 @@ import (
 	"repro/internal/hrtf"
 	"repro/internal/room"
 	"repro/internal/sim"
+	"repro/internal/stream"
 )
 
 // testTable builds a ground-truth far-field table for rendering tests.
@@ -102,69 +107,119 @@ func TestRenderMovingErrors(t *testing.T) {
 	if err != nil || l != nil || rr != nil {
 		t.Error("empty input should render to nothing")
 	}
+	if _, _, err := r.RenderMoving([]float64{1}, nil); err == nil {
+		t.Error("missing angle source should fail")
+	}
 }
 
+// TestRenderMovingRightHemisphereSwapsEars is the regression test for
+// the batch mirror bug: a constant right-hemisphere angle must render as
+// its left-hemisphere mirror with the ears exchanged. The old
+// RenderMoving folded 290° to 70° without the swap.
+func TestRenderMovingRightHemisphereSwapsEars(t *testing.T) {
+	tab := testTable(t)
+	r := &Renderer{Table: tab}
+	click := dsp.DelayedImpulse(2048, 1024, 1)
+	l70, r70, err := r.RenderMoving(click, func(float64) float64 { return 70 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l290, r290, err := r.RenderMoving(click, func(float64) float64 { return 290 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dsp.Energy(l70) <= dsp.Energy(r70) {
+		t.Fatal("70° render should favour the left ear")
+	}
+	for i := range l70 {
+		if l290[i] != r70[i] || r290[i] != l70[i] {
+			t.Fatalf("sample %d: 290° render (%g,%g) is not the ear-swapped 70° render (%g,%g)",
+				i, l290[i], r290[i], r70[i], l70[i])
+		}
+	}
+}
+
+// TestMirrorIntoSpan pins how the renderer folds angles into the table
+// span: the fold it renders through (stream.FoldIntoSpan) maps each angle
+// to its in-span mirror, and a constant-angle render equals the render at
+// that mirror, with the ears exchanged when the fold crosses hemispheres.
 func TestMirrorIntoSpan(t *testing.T) {
 	tab := testTable(t)
-	cases := map[float64]float64{
+	r := &Renderer{Table: tab}
+	click := dsp.DelayedImpulse(2048, 1024, 1)
+	renderAt := func(deg float64) (l, rr []float64) {
+		t.Helper()
+		l, rr, err := r.RenderMoving(click, func(float64) float64 { return deg })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, rr
+	}
+	cases := []struct {
+		in, want float64
+		swap     bool
+	}{
 		// Interior and mirrored angles.
-		10: 10, 190: 170, 350: 10, -30: 30, 370: 10,
+		{10, 10, false}, {190, 170, true}, {350, 10, true}, {-30, 30, true}, {370, 10, false},
 		// Span edges, exactly: 0 and 180 must map to themselves, as must
 		// their full-turn aliases.
-		0: 0, 180: 180, 360: 0, -360: 0, 540: 180, -180: 180,
+		{0, 0, false}, {180, 180, false}, {360, 0, false}, {-360, 0, false},
+		{540, 180, false}, {-180, 180, false},
 		// Just past an edge: mirrors back inside, never out of span.
-		180.5: 179.5, -0.5: 0.5, 359.5: 0.5,
+		{180.5, 179.5, true}, {-0.5, 0.5, true}, {359.5, 0.5, true},
 	}
-	for in, want := range cases {
-		if got := mirrorIntoSpan(in, tab); math.Abs(got-want) > 1e-9 {
-			t.Errorf("mirror(%g) = %g, want %g", in, got, want)
+	for _, tc := range cases {
+		if got, _ := stream.FoldIntoSpan(tc.in, tab); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("mirror(%g) = %g, want %g", tc.in, got, tc.want)
+		}
+		lIn, rIn := renderAt(tc.in)
+		lWant, rWant := renderAt(tc.want)
+		if tc.swap {
+			lWant, rWant = rWant, lWant
+		}
+		for i := range lIn {
+			if lIn[i] != lWant[i] || rIn[i] != rWant[i] {
+				t.Errorf("%g° render differs from its %g° mirror (swap %v) at sample %d", tc.in, tc.want, tc.swap, i)
+				break
+			}
 		}
 	}
 	// Angles outside a narrower table's span clamp to its edges.
 	narrow := hrtf.NewTable(48000, 20, 10, 5) // spans [20, 60]
 	for in, want := range map[float64]float64{5: 20, 20: 20, 60: 60, 170: 60, 355: 20} {
-		if got := mirrorIntoSpan(in, narrow); math.Abs(got-want) > 1e-9 {
+		if got, _ := stream.FoldIntoSpan(in, narrow); math.Abs(got-want) > 1e-9 {
 			t.Errorf("narrow mirror(%g) = %g, want %g", in, got, want)
 		}
 	}
 }
 
-func TestHeadTrackerSwapsHemispheres(t *testing.T) {
+// TestRenderMovingGoldenInSpan pins the bits of an in-span sweep (5° to
+// 175°, an input length that is not a whole hop). The hash was recorded
+// when the convolver sampled the angle through a per-block callback, so
+// feeding the scene hop by hop must reproduce that schedule exactly.
+func TestRenderMovingGoldenInSpan(t *testing.T) {
+	const (
+		wantLen  = 12585
+		wantHash = "18070d2682ce9b1c010ec03046470e1a437fbf1ac8b9a651f726a02f0dfb00b2"
+	)
 	tab := testTable(t)
-	ht := &HeadTracker{
-		Renderer:  Renderer{Table: tab},
-		SourceDeg: 60,
-		// Head turns past the source: relative angle goes 60 -> -60
-		// (i.e. source crosses to the right hemisphere).
-		YawAt: func(t float64) float64 { return 240 * t },
-	}
-	click := make([]float64, 48000/2)
-	for i := 0; i < len(click); i += 4800 {
-		click[i] = 1
-	}
-	l, r, err := ht.Render(click)
+	mono := dsp.WhiteNoise(12345, rand.New(rand.NewSource(3)))
+	dur := float64(len(mono)) / tab.SampleRate
+	r := &Renderer{Table: tab}
+	l, rr, err := r.RenderMoving(mono, func(ts float64) float64 { return 5 + 170*ts/dur })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l) == 0 || len(r) == 0 {
-		t.Fatal("empty tracked render")
+	h := sha256.New()
+	var b [8]byte
+	for _, ch := range [][]float64{l, rr} {
+		for _, v := range ch {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
 	}
-	// Early clicks (source on the left): left ear louder. Late clicks
-	// (source crossed right): right ear louder.
-	early := int(0.1 * 48000)
-	late := len(l) - int(0.1*48000)
-	if dsp.Energy(l[:early]) <= dsp.Energy(r[:early]) {
-		t.Error("early segment should favour the left ear")
-	}
-	if dsp.Energy(r[late:]) <= dsp.Energy(l[late:]) {
-		t.Error("late segment should favour the right ear")
-	}
-}
-
-func TestHeadTrackerNeedsYaw(t *testing.T) {
-	ht := &HeadTracker{Renderer: Renderer{Table: testTable(t)}}
-	if _, _, err := ht.Render([]float64{1}); err == nil {
-		t.Error("missing yaw source should fail")
+	if got := hex.EncodeToString(h.Sum(nil)); len(l) != wantLen || got != wantHash {
+		t.Errorf("sweep render: %d samples, sha256 %s; want %d, %s", len(l), got, wantLen, wantHash)
 	}
 }
 
@@ -338,4 +393,16 @@ func TestRoomRendererMatchesDirectConvolutionReference(t *testing.T) {
 				i, gotL[i], gotR[i], wantL, wantR)
 		}
 	}
+}
+
+// growMix adds src into dst at offset, growing dst as needed.
+func growMix(dst, src []float64, offset int) []float64 {
+	need := offset + len(src)
+	if need > len(dst) {
+		dst = append(dst, make([]float64, need-len(dst))...)
+	}
+	for i, v := range src {
+		dst[offset+i] += v
+	}
+	return dst
 }

@@ -509,15 +509,15 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rr := &render.Renderer{Table: p.Table}
-	angleAt := func(float64) float64 { return req.AngleDeg }
+	bearingAt := func(float64) float64 { return req.AngleDeg }
 	if req.EndAngleDeg != nil {
 		dur := float64(len(req.Mono)) / p.Table.SampleRate
 		start, end := req.AngleDeg, *req.EndAngleDeg
-		angleAt = func(t float64) float64 {
+		bearingAt = func(t float64) float64 {
 			return start + (end-start)*t/dur
 		}
 	}
-	left, right, err := rr.RenderMoving(req.Mono, angleAt)
+	left, right, err := rr.RenderMoving(req.Mono, bearingAt)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "render failed: %v", err)
 		return

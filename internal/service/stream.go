@@ -56,47 +56,47 @@ func startStream(w http.ResponseWriter, contentType string) *http.ResponseContro
 
 // handleStreamRender is POST /v1/stream/render/{user}: a live binaural
 // render session over chunked HTTP. The request body is a frame stream
-// (mono float32 audio and pose updates); the response is a frame stream of
-// interleaved stereo float32. Query parameter "source" places the
-// world-frame source bearing (degrees, default 90); query parameter
-// "scene" (URL-encoded SceneDesc JSON) upgrades the session to a
-// multi-source scene with room acoustics instead.
+// (mono float32 audio, pose updates and the per-source 's'/'b'/'e'
+// frames); the response is a frame stream of interleaved stereo float32.
+// Query parameter "source" places one world-frame source bearing
+// (degrees, default 90); "scene" (URL-encoded SceneDesc JSON) lays out a
+// multi-source scene with room acoustics instead. Either way the session
+// is one stream.Scene, so a single-source session is a one-source scene
+// and both run the same frame loop.
 func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 	markStreamErrorsClose(w)
 	p := s.profileFor(w, r.PathValue("user"))
 	if p == nil {
 		return
 	}
-	if sceneQ := r.URL.Query().Get("scene"); sceneQ != "" {
-		s.handleSceneRender(w, r, p, sceneQ)
-		return
-	}
-	source, ok := parseQueryFloat(w, r, "source", 90)
+	opt, kind, ok := renderSceneOptions(w, r)
 	if !ok {
 		return
 	}
-	sess, err := stream.NewSession(p.Table, stream.SessionOptions{
-		SourceDeg: source,
-		// The query default resolves the bearing explicitly, so 0 means a
-		// true hard-side 0° source rather than "unset".
-		HasSource: true,
-		// The HTTP path backpressures through TCP, not through drops: the
-		// handler drains the engine after every chunk, so a generous
-		// pending bound is never reached.
-		Convolver: stream.ConvolverOptions{MaxPending: 1 << 15},
-	})
+	// The HTTP path backpressures through TCP, not through drops: the
+	// handler drains the engine after every block, so a generous pending
+	// bound is never reached.
+	opt.Convolver = stream.ConvolverOptions{MaxPending: 1 << 15}
+	sc, err := stream.NewScene(p.Table, opt)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "stream session: %v", err)
+		httpError(w, http.StatusUnprocessableEntity, "%s session: %v", kind, err)
 		return
 	}
-	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
-	rc := startStream(w, "application/octet-stream")
-	done := s.metrics.streamStart("render")
+	// Count the session live before its headers go out: a client holding
+	// them may already be reading the gauges.
+	var done func()
+	if kind == "scene" {
+		done = s.metrics.sceneStart(sc.NumSources())
+	} else {
+		done = s.metrics.streamStart(kind)
+	}
 	defer func() {
-		st := sess.Stats()
+		st := sc.Stats()
 		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
 		done()
 	}()
+	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
+	rc := startStream(w, "application/octet-stream")
 
 	var (
 		frameBuf []byte
@@ -105,22 +105,40 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 		outR     = make([]float64, streamOutChunk)
 		outBytes = make([]byte, 0, 8*streamOutChunk)
 	)
-	block := sess.BlockSize()
+	block := sc.BlockSize()
 	// drain writes every ready output sample as stereo frames; false when
 	// the client is gone.
 	drain := func() bool {
 		for {
-			n := min(sess.Available(), streamOutChunk)
+			n := min(sc.Available(), streamOutChunk)
 			if n == 0 {
 				return true
 			}
-			n = sess.ReadFrame(outL[:n], outR[:n])
+			n = sc.ReadFrame(outL[:n], outR[:n])
 			outBytes = appendF32LEStereo(outBytes[:0], outL[:n], outR[:n])
 			if err := writeFrame(w, frameAudio, outBytes); err != nil {
 				return false
 			}
-			s.metrics.countStreamFrame("render", "out")
+			s.metrics.countStreamFrame(kind, "out")
 		}
+	}
+	// feed pushes one source's mono chunk block by block, draining the
+	// output between blocks so the engine's bounded buffers never
+	// overflow however large the client's frames are; false when the
+	// client is gone or the source index is bad.
+	feed := func(idx int, mono []float64) bool {
+		for off := 0; off < len(mono); {
+			n := min(block, len(mono)-off)
+			if _, err := sc.PushFrame(idx, mono[off:off+n]); err != nil {
+				return false
+			}
+			off += n
+			if !drain() {
+				return false
+			}
+		}
+		_ = rc.Flush()
+		return true
 	}
 	for {
 		typ, payload, err := readFrame(r.Body, frameBuf)
@@ -140,27 +158,57 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			sess.SetPose(yaw)
+			sc.SetPose(yaw)
 		case frameAudio:
+			// Single-source clients keep working against scene sessions:
+			// a plain audio frame feeds source 0.
 			if mono, err = decodeF32LE(mono, payload); err != nil {
 				return
 			}
-			// Feed block-sized chunks, draining between them, so the
-			// engine's bounded buffers never overflow however large the
-			// client's frames are.
-			for off := 0; off < len(mono); {
-				n := min(block, len(mono)-off)
-				sess.PushFrame(mono[off : off+n])
-				off += n
-				if !drain() {
-					return
-				}
+			if !feed(0, mono) {
+				return
+			}
+		case frameSceneAudio:
+			idx, rest, err := splitSourceIndex(payload)
+			if err != nil {
+				return
+			}
+			if mono, err = decodeF32LE(mono, rest); err != nil {
+				return
+			}
+			if !feed(idx, mono) {
+				return
+			}
+		case frameBearing:
+			idx, rest, err := splitSourceIndex(payload)
+			if err != nil {
+				return
+			}
+			deg, err := decodeF64BE(rest)
+			if err != nil {
+				return
+			}
+			if err := sc.SetBearing(idx, deg); err != nil {
+				return
+			}
+		case frameSourceEnd:
+			idx, _, err := splitSourceIndex(payload)
+			if err != nil {
+				return
+			}
+			if err := sc.FlushSource(idx); err != nil {
+				return
+			}
+			// A finished source may unblock output held back by the
+			// slowest-source timeline.
+			if !drain() {
+				return
 			}
 			_ = rc.Flush()
 		}
-		s.metrics.observeStreamFrame("render", time.Since(start).Seconds())
+		s.metrics.observeStreamFrame(kind, time.Since(start).Seconds())
 	}
-	sess.Flush()
+	sc.Flush()
 	drain()
 	_ = rc.Flush()
 }
@@ -193,20 +241,21 @@ type SceneSourceDesc struct {
 	Gain       float64 `json:"gain,omitempty"`
 }
 
-// handleSceneRender runs a multi-source scene session on the render
-// endpoint. Same framing as the single-source path plus the per-source
-// 's'/'b'/'e' frames; the response stream is identical (mixed stereo 'a'
-// frames), so existing receive loops work unchanged.
-func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *StoredProfile, sceneQ string) {
+// renderSceneOptions reads a render session's layout from the query:
+// "scene" (SceneDesc JSON) or else "source" (one free-field source,
+// default 90°). It reports 400 itself; ok is false when the caller should
+// stop. kind is the session's metric label, "scene" or "render".
+func renderSceneOptions(w http.ResponseWriter, r *http.Request) (opt stream.SceneOptions, kind string, ok bool) {
+	sceneQ := r.URL.Query().Get("scene")
+	if sceneQ == "" {
+		source, ok := parseQueryFloat(w, r, "source", 90)
+		opt.Sources = []stream.SceneSource{{BearingDeg: source}}
+		return opt, "render", ok
+	}
 	var desc SceneDesc
 	if err := json.Unmarshal([]byte(sceneQ), &desc); err != nil {
 		httpError(w, http.StatusBadRequest, "bad scene description: %v", err)
-		return
-	}
-	opt := stream.SceneOptions{
-		// Generous for the same reason as the single-source path: TCP is
-		// the backpressure, not drops.
-		Convolver: stream.ConvolverOptions{MaxPending: 1 << 15},
+		return opt, "", false
 	}
 	if desc.Room != nil {
 		opt.Room = room.Config{
@@ -223,128 +272,7 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 			Gain:       src.Gain,
 		})
 	}
-	sc, err := stream.NewScene(p.Table, opt)
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "scene session: %v", err)
-		return
-	}
-	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
-	rc := startStream(w, "application/octet-stream")
-	done := s.metrics.sceneStart(sc.NumSources())
-	defer func() {
-		st := sc.Stats()
-		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
-		done()
-	}()
-
-	var (
-		frameBuf []byte
-		mono     []float64
-		outL     = make([]float64, streamOutChunk)
-		outR     = make([]float64, streamOutChunk)
-		outBytes = make([]byte, 0, 8*streamOutChunk)
-	)
-	block := sc.BlockSize()
-	drain := func() bool {
-		for {
-			n := min(sc.Available(), streamOutChunk)
-			if n == 0 {
-				return true
-			}
-			n = sc.ReadFrame(outL[:n], outR[:n])
-			outBytes = appendF32LEStereo(outBytes[:0], outL[:n], outR[:n])
-			if err := writeFrame(w, frameAudio, outBytes); err != nil {
-				return false
-			}
-			s.metrics.countStreamFrame("scene", "out")
-		}
-	}
-	// feed pushes one source's mono chunk block-by-block, draining mixed
-	// output between blocks; false when the client is gone.
-	feed := func(idx int, mono []float64) bool {
-		for off := 0; off < len(mono); {
-			n := min(block, len(mono)-off)
-			if _, err := sc.PushFrame(idx, mono[off:off+n]); err != nil {
-				return false
-			}
-			off += n
-			if !drain() {
-				return false
-			}
-		}
-		return true
-	}
-	for {
-		typ, payload, err := readFrame(r.Body, frameBuf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return
-		}
-		frameBuf = payload
-		start := time.Now()
-		switch typ {
-		case framePose:
-			yaw, err := decodeF64BE(payload)
-			if err != nil {
-				return
-			}
-			sc.SetPose(yaw)
-		case frameAudio:
-			// Single-source clients keep working against scene sessions:
-			// a plain audio frame feeds source 0.
-			if mono, err = decodeF32LE(mono, payload); err != nil {
-				return
-			}
-			if !feed(0, mono) {
-				return
-			}
-			_ = rc.Flush()
-		case frameSceneAudio:
-			idx, rest, err := splitSourceIndex(payload)
-			if err != nil {
-				return
-			}
-			if mono, err = decodeF32LE(mono, rest); err != nil {
-				return
-			}
-			if !feed(idx, mono) {
-				return
-			}
-			_ = rc.Flush()
-		case frameBearing:
-			idx, rest, err := splitSourceIndex(payload)
-			if err != nil {
-				return
-			}
-			deg, err := decodeF64BE(rest)
-			if err != nil {
-				return
-			}
-			if err := sc.SetBearing(idx, deg); err != nil {
-				return
-			}
-		case frameSourceEnd:
-			idx, _, err := splitSourceIndex(payload)
-			if err != nil {
-				return
-			}
-			if err := sc.FlushSource(idx); err != nil {
-				return
-			}
-			// A finished source may unblock output held back by the
-			// slowest-source timeline.
-			if !drain() {
-				return
-			}
-			_ = rc.Flush()
-		}
-		s.metrics.observeStreamFrame("scene", time.Since(start).Seconds())
-	}
-	sc.Flush()
-	drain()
-	_ = rc.Flush()
+	return opt, "scene", true
 }
 
 // handleStreamAoA is POST /v1/stream/aoa/{user}: live angle-of-arrival

@@ -70,7 +70,30 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 
 	// Streaming: source at 75° world frame, head yawed 15° — the session
 	// renders at the same relative 60°, exercising the pose frame type.
-	st, err := client.StreamRender(ctx, "vol1", 75)
+	gotL, gotR := streamRenderAt(ctx, t, client, 75, 15, mono)
+
+	if len(gotL) != len(batch.Left) || len(gotR) != len(batch.Right) {
+		t.Fatalf("stream lengths %d/%d, batch %d/%d",
+			len(gotL), len(gotR), len(batch.Left), len(batch.Right))
+	}
+	maxDiff := 0.0
+	for i := range gotL {
+		maxDiff = math.Max(maxDiff, math.Abs(gotL[i]-batch.Left[i]))
+		maxDiff = math.Max(maxDiff, math.Abs(gotR[i]-batch.Right[i]))
+	}
+	// The engines are bit-identical; the float32 response encoding is the
+	// only difference.
+	if maxDiff > 1e-5 {
+		t.Errorf("stream vs batch render max diff %g, want < 1e-5", maxDiff)
+	}
+}
+
+// streamRenderAt streams mono through a ?source= render session for vol1
+// with the head at yawDeg, in 1024-sample frames, and returns the whole
+// binaural output as the client received it.
+func streamRenderAt(ctx context.Context, t *testing.T, client *Client, sourceDeg, yawDeg float64, mono []float64) (gotL, gotR []float64) {
+	t.Helper()
+	st, err := client.StreamRender(ctx, "vol1", sourceDeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +102,6 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 		t.Fatalf("announced sample rate %v (err %v), want 48000", sr, err)
 	}
 
-	var gotL, gotR []float64
 	recvDone := make(chan error, 1)
 	go func() {
 		for {
@@ -96,7 +118,7 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 			gotR = append(gotR, r...)
 		}
 	}()
-	if err := st.SendPose(15); err != nil {
+	if err := st.SendPose(yawDeg); err != nil {
 		t.Fatal(err)
 	}
 	const chunk = 1024
@@ -112,20 +134,42 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 	if err := <-recvDone; err != nil {
 		t.Fatal(err)
 	}
+	return gotL, gotR
+}
 
-	if len(gotL) != len(batch.Left) || len(gotR) != len(batch.Right) {
-		t.Fatalf("stream lengths %d/%d, batch %d/%d",
-			len(gotL), len(gotR), len(batch.Left), len(batch.Right))
+// TestStreamRenderRightHemisphereSwapsEars is the end-to-end regression
+// test for the single-source mirror bug: ?source=290 renders through the
+// 70° mirror and must come back as the 70° render with the ears
+// exchanged. The old single-source session folded without the swap, so
+// the listener heard a right-side source on the left.
+func TestStreamRenderRightHemisphereSwapsEars(t *testing.T) {
+	_, client := newStreamTestServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	mono := quantizeF32(dsp.WhiteNoise(4800, rand.New(rand.NewSource(29))))
+
+	batch, err := client.Render(ctx, "vol1", RenderRequest{Mono: mono, AngleDeg: 70})
+	if err != nil {
+		t.Fatal(err)
 	}
-	maxDiff := 0.0
+	gotL, gotR := streamRenderAt(ctx, t, client, 290, 0, mono)
+
+	if len(gotL) != len(batch.Left) {
+		t.Fatalf("stream length %d, batch %d", len(gotL), len(batch.Left))
+	}
+	earGap, maxDiff := 0.0, 0.0
 	for i := range gotL {
-		maxDiff = math.Max(maxDiff, math.Abs(gotL[i]-batch.Left[i]))
-		maxDiff = math.Max(maxDiff, math.Abs(gotR[i]-batch.Right[i]))
+		earGap = math.Max(earGap, math.Abs(batch.Left[i]-batch.Right[i]))
+		maxDiff = math.Max(maxDiff, math.Abs(gotL[i]-batch.Right[i]))
+		maxDiff = math.Max(maxDiff, math.Abs(gotR[i]-batch.Left[i]))
 	}
-	// The engines are bit-identical; the float32 response encoding is the
-	// only difference.
+	if earGap < 1e-3 {
+		t.Fatalf("70° render has near-identical ears (gap %g); the mirror check is vacuous", earGap)
+	}
+	// Float32 response encoding is the only difference from the swapped
+	// batch render.
 	if maxDiff > 1e-5 {
-		t.Errorf("stream vs batch render max diff %g, want < 1e-5", maxDiff)
+		t.Errorf("290° stream vs ear-swapped 70° batch max diff %g, want < 1e-5", maxDiff)
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 //	'p' — pose: one float64 big-endian, the head yaw in degrees
 //	      (render requests only).
 //
-// Scene sessions (render requests opened with a ?scene= description) add
-// three per-source frame types, each prefixed with a 2-byte big-endian
-// source index:
+// Render sessions also take three per-source frame types, each prefixed
+// with a 2-byte big-endian source index (a ?scene= description lays out
+// the sources; a ?source= session has source 0 only):
 //
 //	's' — scene audio: [2 bytes index][float32 LE mono samples].
 //	'b' — bearing:     [2 bytes index][float64 BE degrees], moves that

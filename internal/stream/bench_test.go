@@ -31,7 +31,9 @@ func BenchmarkConvolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.SetAngle(60)
+	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 60, Gain: 1}}); err != nil {
+		b.Fatal(err)
+	}
 	hop := c.BlockSize() / 2
 	in := make([]float64, hop)
 	for i := range in {

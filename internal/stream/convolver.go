@@ -80,7 +80,8 @@ func FoldIntoSpan(angleDeg float64, t *hrtf.Table) (deg float64, swapEars bool) 
 // allocations — scratch buffers are preallocated and FFTs run through the
 // dsp plan cache.
 //
-// A Convolver is single-goroutine; Session adds locking and pose state.
+// A Convolver is single-goroutine; Scene adds locking, pose state and the
+// source mix.
 type Convolver struct {
 	table   *hrtf.Table
 	sr      float64
@@ -98,14 +99,12 @@ type Convolver struct {
 	// inner slices alias the table's shared FarSpectra cache.
 	specL, specR [][][]complex128
 
-	// arrival state: the set of paths rendered per block — a fixed
-	// single arrival set by SetAngle (stored in one, so the common case
-	// never allocates), an arbitrary set installed by SetArrivals, or a
-	// per-block angle callback sampled at each block center.
+	// arrival state: the set of paths rendered per block, installed by
+	// SetArrivals (a single arrival is stored in one, so the common
+	// free-field case never allocates).
 	arrivals []Arrival
 	one      [1]Arrival
 	maxDelay int // largest DelaySamples SetArrivals accepts
-	angleAt  func(tSec float64) float64
 
 	// stream positions, all in absolute sample indices.
 	pos      int  // start of the next block to process (first is -hop)
@@ -127,7 +126,7 @@ type Convolver struct {
 	// per-block FFT scratch, shareable across co-resident convolvers.
 	ws *workspace
 
-	// Counters (read through Stats by Session).
+	// Counters (read through Stats by Scene).
 	blocks   uint64 // blocks processed
 	overruns uint64 // input samples dropped at the pending bound
 }
@@ -196,7 +195,8 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 		maxDelay: max(opt.DelayHeadroom, 0),
 		pos:      -block / 2,
 	}
-	c.one[0] = Arrival{AngleDeg: foldIntoSpan(90, t), Gain: 1}
+	deg, _ := FoldIntoSpan(90, t)
+	c.one[0] = Arrival{AngleDeg: deg, Gain: 1}
 	c.arrivals = c.one[:]
 	// Transform length: at least double the block so a partition is never
 	// shorter than the block itself, stretched further while the whole IR
@@ -298,23 +298,13 @@ func (c *Convolver) SetTable(t *hrtf.Table) error {
 	return nil
 }
 
-// SetAngle fixes the source angle (degrees, folded into the table span)
-// used for blocks formed from now on. It overrides any AngleFunc or
-// arrival set. This is the classic single-path free-field mode: one
-// unit-gain, zero-delay arrival with no ear swap (Session folds and swaps
-// segments itself for hemisphere crossings).
-func (c *Convolver) SetAngle(deg float64) {
-	c.angleAt = nil
-	c.one[0] = Arrival{AngleDeg: foldIntoSpan(deg, c.table), Gain: 1}
-	c.arrivals = c.one[:]
-}
-
 // SetArrivals installs the set of propagation paths rendered for blocks
-// formed from now on (copied; the caller keeps arr). Angles must already
-// be folded into the table span (FoldIntoSpan). It overrides any
-// AngleFunc. Delays are whole samples in [0, DelayHeadroom]; an arrival
-// outside that range is an error and leaves the previous set in place.
-// The block's input FFT is computed once and reused across all arrivals.
+// formed from now on (copied; the caller keeps arr); a new convolver
+// renders one unit-gain arrival from 90°. Angles must already be folded
+// into the table span (FoldIntoSpan). Delays are whole samples in
+// [0, DelayHeadroom]; an arrival outside that range is an error and
+// leaves the previous set in place. The block's input FFT is computed
+// once and reused across all arrivals.
 func (c *Convolver) SetArrivals(arr []Arrival) error {
 	if len(arr) == 0 {
 		return errors.New("stream: empty arrival set")
@@ -324,7 +314,6 @@ func (c *Convolver) SetArrivals(arr []Arrival) error {
 			return fmt.Errorf("stream: arrival delay %d outside [0, %d] headroom", a.DelaySamples, c.maxDelay)
 		}
 	}
-	c.angleAt = nil
 	if len(arr) == 1 {
 		c.one[0] = arr[0]
 		c.arrivals = c.one[:]
@@ -339,12 +328,6 @@ func (c *Convolver) SetArrivals(arr []Arrival) error {
 	copy(c.arrivals, arr)
 	return nil
 }
-
-// SetAngleFunc installs a per-block angle source: fn is called with the
-// block-center time (seconds from the start of the stream) as each block is
-// formed. The returned angle is folded into the table span. This is how the
-// batch renderer drives the engine.
-func (c *Convolver) SetAngleFunc(fn func(tSec float64) float64) { c.angleAt = fn }
 
 // BlockSize returns the crossfade block length in samples.
 func (c *Convolver) BlockSize() int { return c.block }
@@ -491,16 +474,9 @@ func (c *Convolver) processBlock() {
 		padded[i] = 0
 	}
 
-	arrivals := c.arrivals
-	if c.angleAt != nil {
-		tCenter := (float64(c.pos) + float64(c.block)/2) / c.sr
-		c.one[0] = Arrival{AngleDeg: foldIntoSpan(c.angleAt(tCenter), c.table), Gain: 1}
-		arrivals = c.one[:]
-	}
-
 	c.plan.ForwardReal(c.ws.freqX[:c.fftSize], padded)
 	maxArrDelay := 0
-	for _, a := range arrivals {
+	for _, a := range c.arrivals {
 		idx := c.angleIndex(a.AngleDeg)
 		accL, accR := c.accL, c.accR
 		if a.SwapEars {
@@ -593,12 +569,4 @@ func bartlettWindow(n int) []float64 {
 		}
 	}
 	return w
-}
-
-// foldIntoSpan folds an arbitrary angle into the table's tabulated span,
-// discarding the hemisphere flag (callers handling true right-side sources
-// swap ears themselves; Session does).
-func foldIntoSpan(angleDeg float64, t *hrtf.Table) float64 {
-	a, _ := FoldIntoSpan(angleDeg, t)
-	return a
 }

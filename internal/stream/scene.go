@@ -17,9 +17,9 @@ const speedOfSound = 343.0
 
 // SceneSource places one source in a scene.
 type SceneSource struct {
-	// BearingDeg is the world-frame source bearing in degrees (90° is
-	// straight ahead in the paper's convention; any angle works — the
-	// engine folds and swaps ears per arrival).
+	// BearingDeg is the world-frame source bearing in degrees (0° is
+	// straight ahead and 90° the left ear, as in geom.PolarAngle; any
+	// angle works — the engine folds and swaps ears per arrival).
 	BearingDeg float64
 	// Distance is the source distance in metres (default 2). It shapes
 	// the room-image geometry — per-image delays and relative gains —
@@ -50,13 +50,15 @@ type SceneStats struct {
 	Sources int `json:"sources"`
 }
 
-// Scene renders N sources with room acoustics for one listener. Each
-// source owns a convolver fed by its own input stream; per block the
-// source's input FFT is computed once and reused across its direct path
-// and every room.Config image arrival (delay + gain + mirrored angle).
-// All sources share one FFT workspace (they render sequentially under the
-// scene lock), and their per-angle spectra come from the table's shared
-// cache, so co-resident scenes and sessions over the same profile share
+// Scene renders N sources with room acoustics for one listener. It is the
+// package's one render engine: Session is a one-source free-field Scene,
+// and the batch renderers in internal/render drive a one-source Scene hop
+// by hop. Each source owns a convolver fed by its own input stream; per
+// block the source's input FFT is computed once and reused across its
+// direct path and every room.Config image arrival (delay + gain + mirrored
+// angle). All sources share one FFT workspace (they render sequentially
+// under the scene lock), and their per-angle spectra come from the
+// table's shared cache, so co-resident scenes over the same profile share
 // them too.
 //
 // The sources advance on one output timeline: ReadFrame delivers the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/hrtf"
 	"repro/internal/render"
 	"repro/internal/room"
 	"repro/internal/stream"
@@ -28,9 +29,9 @@ func drainScene(sc *stream.Scene, gotL, gotR *[]float64, bufL, bufR []float64) {
 	}
 }
 
-// TestSceneSingleSourceFreeFieldBitExact: a one-source free-field scene
-// is the existing single-source stream path — same engine, same folds —
-// so identical frame schedules must produce bit-identical output.
+// TestSceneSingleSourceFreeFieldBitExact: Session is a one-source
+// free-field scene, so identical frame schedules must produce
+// bit-identical output.
 func TestSceneSingleSourceFreeFieldBitExact(t *testing.T) {
 	tab := testTable(t)
 	rng := rand.New(rand.NewSource(7))
@@ -53,8 +54,7 @@ func TestSceneSingleSourceFreeFieldBitExact(t *testing.T) {
 	var sesL, sesR, scL, scR []float64
 	bufL, bufR := make([]float64, 1024), make([]float64, 1024)
 	// Matching irregular frame schedules with yaw updates at the same
-	// offsets (yaws keep the source on the left hemisphere, where the
-	// single-source path's fold-without-swap is valid).
+	// offsets.
 	yaws := []float64{0, 15, -20, 40, 5}
 	for off, i := 0, 0; off < len(mono); i++ {
 		yaw := yaws[i%len(yaws)]
@@ -474,22 +474,28 @@ func TestConvolverPendingBound(t *testing.T) {
 // TestFoldIntoSpan pins the exported fold: angle mapping plus the
 // hemisphere (ear-swap) flag.
 func TestFoldIntoSpan(t *testing.T) {
-	tab := testTable(t)
+	full := testTable(t)
+	// Angles outside a narrower table's span clamp to its edges; the
+	// hemisphere flag still reports the fold.
+	narrow := hrtf.NewTable(48000, 20, 10, 5) // spans [20, 60]
 	cases := []struct {
+		tab      *hrtf.Table
 		in, want float64
 		swap     bool
 	}{
-		{10, 10, false}, {190, 170, true}, {350, 10, true},
-		{-30, 30, true}, {370, 10, false},
-		{0, 0, false}, {180, 180, false}, {360, 0, false},
-		{-360, 0, false}, {540, 180, false}, {-180, 180, false},
-		{180.5, 179.5, true}, {-0.5, 0.5, true}, {359.5, 0.5, true},
+		{full, 10, 10, false}, {full, 190, 170, true}, {full, 350, 10, true},
+		{full, -30, 30, true}, {full, 370, 10, false},
+		{full, 0, 0, false}, {full, 180, 180, false}, {full, 360, 0, false},
+		{full, -360, 0, false}, {full, 540, 180, false}, {full, -180, 180, false},
+		{full, 180.5, 179.5, true}, {full, -0.5, 0.5, true}, {full, 359.5, 0.5, true},
+		{narrow, 5, 20, false}, {narrow, 20, 20, false}, {narrow, 60, 60, false},
+		{narrow, 170, 60, false}, {narrow, 355, 20, true},
 	}
 	for _, tc := range cases {
-		got, swap := stream.FoldIntoSpan(tc.in, tab)
+		got, swap := stream.FoldIntoSpan(tc.in, tc.tab)
 		if gotDiff := got - tc.want; gotDiff > 1e-9 || gotDiff < -1e-9 || swap != tc.swap {
-			t.Errorf("FoldIntoSpan(%g) = (%g, %v), want (%g, %v)",
-				tc.in, got, swap, tc.want, tc.swap)
+			t.Errorf("FoldIntoSpan(%g) over [%g, %g] = (%g, %v), want (%g, %v)",
+				tc.in, tc.tab.MinAngle, tc.tab.MaxAngle(), got, swap, tc.want, tc.swap)
 		}
 	}
 }

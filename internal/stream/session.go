@@ -1,21 +1,19 @@
 package stream
 
-import (
-	"sync"
-
-	"repro/internal/hrtf"
-)
+import "repro/internal/hrtf"
 
 // SessionOptions tunes a streaming render session.
 type SessionOptions struct {
 	// Convolver forwards engine tuning (block size, pending bound).
 	Convolver ConvolverOptions
 	// SourceDeg is the initial world-frame source bearing in degrees
-	// (default 90: straight ahead in the paper's [0, 180] convention).
-	// A zero value means "unset" unless HasSource is true.
+	// (0° straight ahead, 90° at the left ear; default 90). Any angle
+	// works: right-hemisphere bearings render through their mirror with
+	// the ears swapped. A zero value means "unset" unless HasSource is
+	// true.
 	SourceDeg float64
-	// HasSource marks SourceDeg as explicitly set, so a hard-side 0°
-	// bearing is requestable. Without it, SourceDeg == 0 keeps its
+	// HasSource marks SourceDeg as explicitly set, so a 0° (straight
+	// ahead) bearing is requestable. Without it, SourceDeg == 0 keeps its
 	// historical meaning of "use the 90° default".
 	HasSource bool
 }
@@ -41,149 +39,73 @@ type SessionStats struct {
 	Drained bool `json:"drained"`
 }
 
-// Session is the concurrency-safe façade over a streaming render engine:
-// it owns the Convolver's bounded buffers, tracks head pose (the rendered
-// angle is the world-frame source bearing minus the head yaw, folded into
-// the table span — the paper's symmetric-head mirror convention), and
-// accounts for backpressure explicitly: pushes beyond the pending bound
-// are dropped and counted as overruns, reads ahead of the render are
-// counted as underruns. Producers and consumers may run on different
-// goroutines.
+// Session is the single-source streaming render: a thin façade over a
+// one-source free-field Scene that keeps the classic source-bearing and
+// head-pose API. The rendered angle is the world-frame source bearing
+// minus the head yaw, folded into the table span with the ears swapped
+// for right-hemisphere angles; locking, backpressure and accounting are
+// the Scene's. Producers and consumers may run on different goroutines.
 type Session struct {
-	mu   sync.Mutex
-	conv *Convolver
-
-	sourceDeg float64
-	yawDeg    float64
-
-	framesIn, framesOut   uint64
-	samplesIn, samplesOut uint64
-	underruns             uint64
-	flushed               bool
+	// sc always holds source 0, so the Scene's source-index errors
+	// cannot occur and the façade drops them.
+	sc *Scene
 }
 
-// NewSession opens a streaming session over a personalization table.
+// NewSession opens a streaming session over a personalization table with
+// one source at SourceDeg (0° straight ahead, 90° at the left ear).
 func NewSession(t *hrtf.Table, opt SessionOptions) (*Session, error) {
-	conv, err := NewConvolver(t, opt.Convolver)
+	source := opt.SourceDeg
+	if source == 0 && !opt.HasSource {
+		// Zero value means "unset": keep the 90° default. Callers that
+		// really want a 0° bearing set HasSource.
+		source = 90
+	}
+	sc, err := NewScene(t, SceneOptions{
+		Convolver: opt.Convolver,
+		Sources:   []SceneSource{{BearingDeg: source}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	source := opt.SourceDeg
-	if source == 0 && !opt.HasSource {
-		// Zero value means "unset": keep the 90° straight-ahead default.
-		// Callers that really want a 0° bearing set HasSource.
-		source = 90
-	}
-	s := &Session{conv: conv, sourceDeg: source}
-	conv.SetAngle(s.sourceDeg - s.yawDeg)
-	return s, nil
+	return &Session{sc: sc}, nil
 }
 
 // BlockSize returns the engine's crossfade block length in samples.
-func (s *Session) BlockSize() int { return s.conv.BlockSize() }
+func (s *Session) BlockSize() int { return s.sc.BlockSize() }
 
 // TailLen returns the convolution tail appended after the input ends.
-func (s *Session) TailLen() int { return s.conv.TailLen() }
+func (s *Session) TailLen() int { return s.sc.TailLen() }
 
 // SetPose updates the listener's head yaw (degrees). Blocks rendered from
 // now on use the new relative angle; the Bartlett overlap crossfades the
 // turn click-free.
-func (s *Session) SetPose(yawDeg float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.yawDeg = yawDeg
-	s.conv.SetAngle(s.sourceDeg - s.yawDeg)
-}
+func (s *Session) SetPose(yawDeg float64) { s.sc.SetPose(yawDeg) }
 
 // SetSource moves the world-frame source bearing (degrees).
-func (s *Session) SetSource(deg float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sourceDeg = deg
-	s.conv.SetAngle(s.sourceDeg - s.yawDeg)
-}
-
-// SetTable hot-swaps the personalization profile mid-stream (see
-// Convolver.SetTable for the compatibility rules).
-func (s *Session) SetTable(t *hrtf.Table) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.SetTable(t)
-}
+func (s *Session) SetSource(deg float64) { _ = s.sc.SetBearing(0, deg) }
 
 // PushFrame feeds one mono input frame, returning how many samples were
 // accepted; the rest were dropped at the pending bound (counted in
 // OverrunSamples).
 func (s *Session) PushFrame(mono []float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.flushed || len(mono) == 0 {
-		return 0
-	}
-	n := s.conv.Push(mono)
-	s.framesIn++
-	s.samplesIn += uint64(n)
+	n, _ := s.sc.PushFrame(0, mono)
 	return n
 }
 
 // ReadFrame fills l and r with up to min(len(l), len(r)) rendered samples
 // and returns how many were written. A short read while input is still
 // expected counts the shortfall as underrun samples.
-func (s *Session) ReadFrame(l, r []float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	want := min(len(l), len(r))
-	n := s.conv.Read(l, r)
-	if n > 0 {
-		s.framesOut++
-		s.samplesOut += uint64(n)
-	}
-	if short := want - n; short > 0 && !s.drainedLocked() {
-		s.underruns += uint64(short)
-	}
-	return n
-}
+func (s *Session) ReadFrame(l, r []float64) int { return s.sc.ReadFrame(l, r) }
 
 // Available returns how many rendered samples ReadFrame can deliver now.
-func (s *Session) Available() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.Available()
-}
+func (s *Session) Available() int { return s.sc.Available() }
 
 // Flush declares the end of input; the remaining tail becomes readable.
-func (s *Session) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushed = true
-	s.conv.Flush()
-}
+func (s *Session) Flush() { s.sc.Flush() }
 
 // Drained reports whether the stream has ended and every rendered sample
 // has been read.
-func (s *Session) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainedLocked()
-}
-
-func (s *Session) drainedLocked() bool {
-	return s.flushed && s.conv.Available() == 0
-}
+func (s *Session) Drained() bool { return s.sc.Drained() }
 
 // Stats snapshots the session's accounting.
-func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SessionStats{
-		FramesIn:        s.framesIn,
-		FramesOut:       s.framesOut,
-		SamplesIn:       s.samplesIn,
-		SamplesOut:      s.samplesOut,
-		OverrunSamples:  s.conv.Overruns(),
-		UnderrunSamples: s.underruns,
-		Blocks:          s.conv.Blocks(),
-		Flushed:         s.flushed,
-		Drained:         s.drainedLocked(),
-	}
-}
+func (s *Session) Stats() SessionStats { return s.sc.Stats().SessionStats }

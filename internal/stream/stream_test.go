@@ -99,58 +99,6 @@ func TestStreamMatchesBatchBitExact(t *testing.T) {
 	}
 }
 
-// TestConvolverMovingMatchesBatch repeats the equivalence with a moving
-// source driven through SetAngleFunc, the path the batch wrapper uses.
-func TestConvolverMovingMatchesBatch(t *testing.T) {
-	tab := testTable(t)
-	mono := dsp.Tone(500, 0.25, tab.SampleRate)
-	sweep := func(ts float64) float64 { return 360 * ts }
-
-	r := &render.Renderer{Table: tab}
-	wantL, wantR, err := r.RenderMoving(mono, sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := stream.NewConvolver(tab, stream.ConvolverOptions{MaxPending: len(mono)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetAngleFunc(sweep)
-	var gotL, gotR []float64
-	bufL := make([]float64, 500)
-	bufR := make([]float64, 500)
-	for off := 0; off < len(mono); {
-		n := min(700, len(mono)-off)
-		off += c.Push(mono[off : off+n])
-		for {
-			k := c.Read(bufL, bufR)
-			if k == 0 {
-				break
-			}
-			gotL = append(gotL, bufL[:k]...)
-			gotR = append(gotR, bufR[:k]...)
-		}
-	}
-	c.Flush()
-	for {
-		k := c.Read(bufL, bufR)
-		if k == 0 {
-			break
-		}
-		gotL = append(gotL, bufL[:k]...)
-		gotR = append(gotR, bufR[:k]...)
-	}
-	if len(gotL) != len(wantL) {
-		t.Fatalf("stream produced %d samples, batch %d", len(gotL), len(wantL))
-	}
-	for i := range gotL {
-		if gotL[i] != wantL[i] || gotR[i] != wantR[i] {
-			t.Fatalf("sample %d differs", i)
-		}
-	}
-}
-
 // TestConvolverPartitionedLongIR forces the multi-partition path (IR much
 // longer than the FFT block) and checks the stream against a direct
 // convolution: with a static source the Bartlett windows sum to one, so
@@ -172,7 +120,9 @@ func TestConvolverPartitionedLongIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAngle(90)
+	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 90, Gain: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	c.Push(mono)
 	c.Flush()
 	gotL := make([]float64, len(mono)+irLen)
@@ -203,7 +153,9 @@ func TestConvolverZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAngle(60)
+	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 60, Gain: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	hop := c.BlockSize() / 2
 	in := make([]float64, hop)
 	for i := range in {
@@ -234,7 +186,9 @@ func TestConvolverOverrunAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAngle(90)
+	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 90, Gain: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	total, accepted := 0, 0
 	chunk := make([]float64, block)
 	for i := range chunk {
@@ -287,7 +241,9 @@ func TestConvolverSetTableSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAngle(70)
+	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 70, Gain: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	mid := len(mono) / 2
 	c.Push(mono[:mid])
 	if err := c.SetTable(half); err != nil {
@@ -528,5 +484,71 @@ func TestSessionUnderrunsAndPose(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Error("head turn did not change the rendering")
+	}
+}
+
+// renderSession streams mono through a fresh session with the given
+// source bearing and head yaw, returning the whole binaural output.
+func renderSession(t *testing.T, tab *hrtf.Table, sourceDeg, yawDeg float64, mono []float64) (l, r []float64) {
+	t.Helper()
+	s, err := stream.NewSession(tab, stream.SessionOptions{SourceDeg: sourceDeg, HasSource: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetPose(yawDeg)
+	s.PushFrame(mono)
+	s.Flush()
+	bufL, bufR := make([]float64, 1024), make([]float64, 1024)
+	for {
+		n := s.ReadFrame(bufL, bufR)
+		if n == 0 {
+			break
+		}
+		l = append(l, bufL[:n]...)
+		r = append(r, bufR[:n]...)
+	}
+	if !s.Drained() {
+		t.Fatal("session not drained")
+	}
+	return l, r
+}
+
+// TestSessionRightHemisphereSwapsEars is the regression test for the
+// single-source mirror bug: a right-hemisphere relative angle renders
+// through its left-hemisphere mirror, so it must come out as the mirror
+// render with the ears exchanged. The old Session folded 290° to 70°
+// without the swap, so a source on the right was heard on the left.
+func TestSessionRightHemisphereSwapsEars(t *testing.T) {
+	tab := testTable(t)
+	mono := dsp.WhiteNoise(6000, rand.New(rand.NewSource(23)))
+	l70, r70 := renderSession(t, tab, 70, 0, mono)
+	differ := false
+	for i := range l70 {
+		if l70[i] != r70[i] {
+			differ = true
+			break
+		}
+	}
+	if !differ {
+		t.Fatal("70° render has identical ears; the mirror check is vacuous")
+	}
+	for _, tc := range []struct {
+		name        string
+		source, yaw float64
+	}{
+		{"source 290", 290, 0},
+		{"source 90 yaw 160", 90, 160}, // relative -70° = 290°
+	} {
+		l, r := renderSession(t, tab, tc.source, tc.yaw, mono)
+		if len(l) != len(l70) {
+			t.Fatalf("%s: %d samples, 70° render %d", tc.name, len(l), len(l70))
+		}
+		for i := range l {
+			if l[i] != r70[i] || r[i] != l70[i] {
+				t.Errorf("%s: sample %d is (%g,%g), want the ear-swapped 70° render (%g,%g)",
+					tc.name, i, l[i], r[i], r70[i], l70[i])
+				break
+			}
+		}
 	}
 }

@@ -11,32 +11,30 @@ import (
 )
 
 // RenderMoving renders a mono source whose direction changes over time
-// (e.g. the listener's head turns, or the virtual source moves): angleAt
-// maps seconds to the source's current angle in degrees. Blocks are
-// crossfaded, so sweeps are click-free; a constant angle reproduces Render
-// exactly.
-func (p *Profile) RenderMoving(mono []float64, angleAt func(t float64) float64) (left, right []float64, err error) {
+// (e.g. the listener's head turns, or the virtual source moves): bearingAt
+// maps seconds to the source's current angle in degrees. Any angle works:
+// right-hemisphere angles render through their left-hemisphere mirror
+// with the ears swapped. Blocks are crossfaded, so sweeps are click-free;
+// a constant angle reproduces Render exactly.
+func (p *Profile) RenderMoving(mono []float64, bearingAt func(t float64) float64) (left, right []float64, err error) {
 	if p == nil || p.Table == nil {
 		return nil, nil, errors.New("uniq: empty profile")
 	}
 	r := &render.Renderer{Table: p.Table}
-	return r.RenderMoving(mono, angleAt)
+	return r.RenderMoving(mono, bearingAt)
 }
 
 // TrackHead renders a world-fixed source for a listener whose head yaw
 // changes over time (the earphone IMU supplies yawAt). The source stays
 // put in the world as the head turns — the paper's AR/VR orchestra
-// scenario.
+// scenario. It is RenderMoving at the relative angle sourceDeg − yaw, so
+// the ears swap smoothly, block by block, whenever the source crosses to
+// the right hemisphere.
 func (p *Profile) TrackHead(mono []float64, sourceDeg float64, yawAt func(t float64) float64) (left, right []float64, err error) {
-	if p == nil || p.Table == nil {
-		return nil, nil, errors.New("uniq: empty profile")
+	if yawAt == nil {
+		return nil, nil, errors.New("uniq: head tracking needs a yaw source")
 	}
-	ht := &render.HeadTracker{
-		Renderer:  render.Renderer{Table: p.Table},
-		SourceDeg: sourceDeg,
-		YawAt:     yawAt,
-	}
-	return ht.Render(mono)
+	return p.RenderMoving(mono, func(t float64) float64 { return sourceDeg - yawAt(t) })
 }
 
 // RoomOptions describes a listening room for reverberant rendering.
