@@ -239,7 +239,7 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		}), true
 	case strings.HasPrefix(name, "store/"):
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
-		// cold reads, the legacy JSON baseline, durable puts, bulk load.
+		// cold reads, durable puts, bulk load.
 		return measureStoreKernel(name)
 	case strings.HasPrefix(name, "personalize/workers="):
 		// Whole pipeline, coarse fusion, N internal workers (mirrors
@@ -483,34 +483,24 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 
 	// Profile store: cache-bypassing cold reads and durable writes on the
-	// binary segment store, against the legacy JSON-per-user layout read
-	// the way the old store read it. Disk footprint per profile rides on
-	// the records; the derived ratios are the PR's headline claims.
-	for _, name := range []string{
-		"store/coldread", "store/coldread-json", "store/put", "store/bulkload",
-	} {
+	// binary segment store. Disk footprint per profile rides on the
+	// records.
+	for _, name := range []string{"store/coldread", "store/put", "store/bulkload"} {
 		r, ok := measureKernel(name)
 		if !ok {
 			t.Fatalf("unknown bench kernel %q", name)
 		}
 		ns[name] = add(name, r).NsPerOp
 	}
-	if segB, jsonB, err := storeBenchFootprint(); err == nil {
+	if segB, err := storeBenchFootprint(); err == nil {
 		for i := range sum.Benchmarks {
-			switch sum.Benchmarks[i].Name {
-			case "store/coldread", "store/put", "store/bulkload":
+			if strings.HasPrefix(sum.Benchmarks[i].Name, "store/") {
 				sum.Benchmarks[i].DiskBytesPerProfile = segB
-			case "store/coldread-json":
-				sum.Benchmarks[i].DiskBytesPerProfile = jsonB
 			}
 		}
 		sum.Derived["storeBytesPerProfile"] = float64(segB)
-		sum.Derived["storeCompressionVsJSON"] = float64(jsonB) / float64(segB)
 	} else {
 		t.Fatalf("store footprint: %v", err)
-	}
-	if seg, legacy := ns["store/coldread"], ns["store/coldread-json"]; seg > 0 && legacy > 0 {
-		sum.Derived["storeColdReadSpeedupVsJSON"] = legacy / seg
 	}
 	if bulk := ns["store/bulkload"]; bulk > 0 {
 		sum.Derived["storeBulkLoadProfilesPerSec"] = float64(storeBenchBulkBatch) / (bulk / 1e9)

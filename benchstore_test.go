@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -80,37 +78,12 @@ func openColdStore(dir string, n int) (*segstore.Store, []string, error) {
 	return st, users, nil
 }
 
-// writeLegacyJSONStore renders the same profiles in the pre-segment layout
-// (one JSON file per user) and returns the paths plus total bytes.
-func writeLegacyJSONStore(dir string, n int) ([]string, int64, error) {
-	tab, err := storeBenchTab()
-	if err != nil {
-		return nil, 0, err
-	}
-	users := storeBenchUsers(n)
-	paths := make([]string, n)
-	var total int64
-	for i, u := range users {
-		data, err := json.Marshal(storeBenchProfile(u, i, tab))
-		if err != nil {
-			return nil, 0, err
-		}
-		paths[i] = filepath.Join(dir, u+".json")
-		if err := os.WriteFile(paths[i], data, 0o644); err != nil {
-			return nil, 0, err
-		}
-		total += int64(len(data))
-	}
-	return paths, total, nil
-}
-
 // measureStoreKernel handles the store/* bench.json kernels. Each one
 // measures the persistence layer with no LRU in front:
 //
-//	store/coldread       indexed point read + binary decode per op
-//	store/coldread-json  the legacy baseline: ReadFile + json.Unmarshal
-//	store/put            one durable profile write (group-commit fsync path)
-//	store/bulkload       PutBatch of storeBenchBulkBatch profiles per op
+//	store/coldread  indexed point read + binary decode per op
+//	store/put       one durable profile write (group-commit fsync path)
+//	store/bulkload  PutBatch of storeBenchBulkBatch profiles per op
 func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 	switch name {
 	case "store/coldread":
@@ -128,29 +101,6 @@ func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := st.Get(users[i%len(users)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}), true
-	case "store/coldread-json":
-		dir, err := os.MkdirTemp("", "benchstore")
-		if err != nil {
-			return testing.BenchmarkResult{}, false
-		}
-		defer os.RemoveAll(dir)
-		paths, _, err := writeLegacyJSONStore(dir, storeBenchProfiles)
-		if err != nil {
-			return testing.BenchmarkResult{}, false
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := os.ReadFile(paths[i%len(paths)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				var p segstore.Profile
-				if err := json.Unmarshal(data, &p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,34 +167,21 @@ func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 	return testing.BenchmarkResult{}, false
 }
 
-// storeBenchFootprint reports bytes-on-disk per profile for the segment
-// store vs the legacy JSON layout over the same profile set (the space half
-// of the cold-read comparison; both are also recorded in bench.json).
-func storeBenchFootprint() (segBytes, jsonBytes int64, err error) {
-	segDir, err := os.MkdirTemp("", "benchstore")
+// storeBenchFootprint reports the segment store's bytes on disk per
+// profile over the bench profile set (recorded in bench.json).
+func storeBenchFootprint() (int64, error) {
+	dir, err := os.MkdirTemp("", "benchstore")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	defer os.RemoveAll(segDir)
-	st, _, err := openColdStore(segDir, storeBenchProfiles)
+	defer os.RemoveAll(dir)
+	st, _, err := openColdStore(dir, storeBenchProfiles)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	stats := st.Stats()
 	st.Close()
-	segBytes = stats.DiskBytes / int64(stats.Profiles)
-
-	jsonDir, err := os.MkdirTemp("", "benchstore")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.RemoveAll(jsonDir)
-	_, total, err := writeLegacyJSONStore(jsonDir, storeBenchProfiles)
-	if err != nil {
-		return 0, 0, err
-	}
-	jsonBytes = total / storeBenchProfiles
-	return segBytes, jsonBytes, nil
+	return stats.DiskBytes / int64(stats.Profiles), nil
 }
 
 // TestStoreBenchKernelsRun is a fast sanity check (no env gate) that every
@@ -254,17 +191,17 @@ func TestStoreBenchKernelsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("store bench kernels build real stores; skipped in -short")
 	}
-	for _, name := range []string{"store/coldread", "store/coldread-json", "store/put", "store/bulkload"} {
+	for _, name := range []string{"store/coldread", "store/put", "store/bulkload"} {
 		if _, ok := measureKernel(name); !ok {
 			t.Errorf("kernel %q did not measure", name)
 		}
 	}
-	segB, jsonB, err := storeBenchFootprint()
+	segB, err := storeBenchFootprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segB <= 0 || jsonB <= 0 {
-		t.Fatalf("footprint: seg %d, json %d", segB, jsonB)
+	if segB <= 0 {
+		t.Fatalf("footprint: %d bytes/profile", segB)
 	}
-	t.Logf("bytes/profile: segment %d vs json %d (%.2fx)", segB, jsonB, float64(jsonB)/float64(segB))
+	t.Logf("bytes/profile: segment %d", segB)
 }

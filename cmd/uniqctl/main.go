@@ -12,7 +12,7 @@
 //	                [-source deg] [-scene scene.json] [-yaw-rate deg/s] [-frame ms] [-aoa]
 //	uniqctl metrics -server http://host:8080 [-json] [-grep substr]
 //	uniqctl nodes   -server http://host:8080 [-json]
-//	uniqctl store   migrate|stat|compact -dir ./profiles [-json]
+//	uniqctl store   stat|compact -dir ./profiles [-json]
 //	uniqctl -version
 //
 // -compare additionally measures the user's ground-truth HRTF and the

@@ -13,52 +13,21 @@ import (
 // runStore dispatches the offline store-maintenance subcommands, which
 // operate directly on a profile store directory (no server involved):
 //
-//	uniqctl store migrate -dir ./profiles          import legacy JSON profiles
 //	uniqctl store stat    -dir ./profiles [-json]  segment/byte/recovery report
 //	uniqctl store compact -dir ./profiles          rewrite dead segments now
 func runStore(args []string) {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "uniqctl store: want a subcommand: migrate, stat or compact")
+		fmt.Fprintln(os.Stderr, "uniqctl store: want a subcommand: stat or compact")
 		os.Exit(2)
 	}
 	switch args[0] {
-	case "migrate":
-		runStoreMigrate(args[1:])
 	case "stat":
 		runStoreStat(args[1:])
 	case "compact":
 		runStoreCompact(args[1:])
 	default:
-		fmt.Fprintf(os.Stderr, "uniqctl store: unknown subcommand %q (want migrate, stat or compact)\n", args[0])
+		fmt.Fprintf(os.Stderr, "uniqctl store: unknown subcommand %q (want stat or compact)\n", args[0])
 		os.Exit(2)
-	}
-}
-
-// runStoreMigrate opens the store read-write, which imports any legacy
-// one-JSON-file-per-user profiles into the segment store, and reports what
-// happened. Safe to run repeatedly; a second run is a no-op.
-func runStoreMigrate(args []string) {
-	fs := flag.NewFlagSet("uniqctl store migrate", flag.ExitOnError)
-	dir := fs.String("dir", "./profiles", "profile store directory")
-	fs.Parse(args)
-
-	s, err := service.OpenStore(*dir, 1)
-	if err != nil {
-		fatal(err)
-	}
-	defer s.Close()
-	st := s.SegStats()
-	fmt.Printf("store %s: migrated %d legacy JSON profile(s); %d profile(s) in %d segment(s), %d bytes on disk\n",
-		*dir, s.Migrated(), st.Profiles, st.Segments, st.DiskBytes)
-	for _, issue := range s.MigrationIssues() {
-		fmt.Printf("  left unmigrated: %s\n", issue)
-	}
-	if st.Recovery.Damaged() {
-		fmt.Printf("  recovery: %d damaged segment(s), %d byte(s) dropped\n",
-			st.Recovery.DamagedSegments, st.Recovery.DroppedBytes)
-		for _, d := range st.Recovery.Details {
-			fmt.Printf("    %s\n", d)
-		}
 	}
 }
 

@@ -2,9 +2,7 @@
 // sessions go into a bounded job queue drained by a worker pool running the
 // full pipeline; completed profiles are persisted in an append-only binary
 // segment store (with an in-memory LRU in front) and served to readers
-// alongside AoA queries and binaural renders. Directories written by older
-// builds (one JSON file per user) are migrated into the segment store on
-// startup.
+// alongside AoA queries and binaural renders.
 //
 // Usage:
 //

@@ -40,12 +40,6 @@ func NewSystemResponse(sampleRate float64, rng *rand.Rand) *SystemResponse {
 	return s
 }
 
-// FlatSystemResponse returns an idealized flat response (useful for
-// isolating pipeline error sources in tests and ablations).
-func FlatSystemResponse(sampleRate float64) *SystemResponse {
-	return &SystemResponse{sampleRate: sampleRate, lowKnee: 1, highKnee: sampleRate}
-}
-
 // MagnitudeAt returns the linear amplitude response at freq Hz.
 func (s *SystemResponse) MagnitudeAt(freq float64) float64 {
 	if freq <= 0 {

@@ -50,16 +50,3 @@ func convolveFFT(x, h []float64) []float64 {
 	}
 	return out
 }
-
-// FilterFIR applies FIR taps h to x and returns a signal of the same length
-// as x (the "same" mode of convolution anchored at the first tap, i.e. the
-// filter is causal: output[i] = sum_j h[j]*x[i-j]).
-func FilterFIR(x, h []float64) []float64 {
-	full := Convolve(x, h)
-	if full == nil {
-		return make([]float64, len(x))
-	}
-	out := make([]float64, len(x))
-	copy(out, full[:min(len(x), len(full))])
-	return out
-}

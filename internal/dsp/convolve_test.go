@@ -88,19 +88,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	}
 }
 
-func TestFilterFIRLength(t *testing.T) {
-	x := make([]float64, 100)
-	x[0] = 1
-	h := []float64{0.5, 0.25}
-	y := FilterFIR(x, h)
-	if len(y) != len(x) {
-		t.Fatalf("FilterFIR length %d, want %d", len(y), len(x))
-	}
-	if math.Abs(y[0]-0.5) > 1e-12 || math.Abs(y[1]-0.25) > 1e-12 {
-		t.Errorf("FilterFIR impulse response wrong: %v", y[:3])
-	}
-}
-
 func TestConvolveEmpty(t *testing.T) {
 	if Convolve(nil, []float64{1}) != nil {
 		t.Error("empty x should give nil")

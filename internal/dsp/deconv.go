@@ -1,6 +1,6 @@
 package dsp
 
-import "math"
+import "math/cmplx"
 
 // Deconvolve estimates the impulse response h of a linear channel from its
 // known input x and observed output y (y = x * h + noise) using regularized
@@ -48,7 +48,7 @@ func Deconvolve(y, x []float64, length int, reg float64) []float64 {
 	for i := range fy {
 		xc := fx[i]
 		den := real(xc)*real(xc) + imag(xc)*imag(xc) + eps
-		fy[i] = fy[i] * conj(xc) / complex(den, 0)
+		fy[i] = fy[i] * cmplx.Conj(xc) / complex(den, 0)
 	}
 	fftRadix2(fy, true)
 	out := make([]float64, length)
@@ -85,30 +85,7 @@ func SpectralDivide(a, b []complex128, reg float64) []complex128 {
 	out := make([]complex128, n)
 	for i := 0; i < n; i++ {
 		den := real(b[i])*real(b[i]) + imag(b[i])*imag(b[i]) + eps
-		out[i] = a[i] * conj(b[i]) / complex(den, 0)
+		out[i] = a[i] * cmplx.Conj(b[i]) / complex(den, 0)
 	}
 	return out
-}
-
-// SNRdB returns the signal-to-noise ratio, in dB, between a clean reference
-// and a noisy observation of it (both same length). Used by tests and the
-// evaluation harness.
-func SNRdB(clean, noisy []float64) float64 {
-	n := len(clean)
-	if len(noisy) < n {
-		n = len(noisy)
-	}
-	var sig, noise float64
-	for i := 0; i < n; i++ {
-		sig += clean[i] * clean[i]
-		d := noisy[i] - clean[i]
-		noise += d * d
-	}
-	if noise == 0 {
-		return math.Inf(1)
-	}
-	if sig == 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(sig/noise)
 }

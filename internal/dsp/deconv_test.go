@@ -75,16 +75,3 @@ func TestSpectralDivide(t *testing.T) {
 		}
 	}
 }
-
-func TestSNRdB(t *testing.T) {
-	clean := []float64{1, -1, 1, -1}
-	if got := SNRdB(clean, clean); !math.IsInf(got, 1) {
-		t.Errorf("identical signals SNR = %g, want +inf", got)
-	}
-	noisy := []float64{1.1, -0.9, 1.1, -0.9}
-	got := SNRdB(clean, noisy)
-	want := 10 * math.Log10(4/(4*0.01))
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("SNR = %g, want %g", got, want)
-	}
-}

@@ -74,7 +74,7 @@ func TestFFTRoundTripAllLengths(t *testing.T) {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{4, 9, 16, 21} {
+	for _, n := range []int{4, 9, 16, 21, 8, 100, 128, 1000, 1024} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -225,5 +225,82 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FFT(x)
+	}
+}
+
+// benchSizes cover both plan kernels: pow2 radix-2 and Bluestein.
+var benchSizes = []struct {
+	name string
+	n    int
+}{
+	{"pow2-1024", 1024},
+	{"pow2-16384", 16384},
+	{"bluestein-1000", 1000},
+	{"bluestein-4410", 4410},
+}
+
+func benchInputComplex(n int) []complex128 {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return x
+}
+
+func benchInputReal(n int) []float64 {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// BenchmarkFFTPlanned measures the plan-cached engine through the Plan API
+// (caller-owned buffers: zero allocations on the pow2 path, pooled scratch
+// on the Bluestein path).
+func BenchmarkFFTPlanned(b *testing.B) {
+	for _, bc := range benchSizes {
+		b.Run(bc.name, func(b *testing.B) {
+			src := benchInputComplex(bc.n)
+			buf := make([]complex128, bc.n)
+			p := PlanFFT(bc.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, src)
+				p.Forward(buf)
+			}
+		})
+	}
+	for _, bc := range benchSizes {
+		b.Run("real-"+bc.name, func(b *testing.B) {
+			src := benchInputReal(bc.n)
+			dst := make([]complex128, bc.n)
+			p := PlanFFT(bc.n)
+			p.ForwardReal(dst, src) // warm the real-trick tables
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ForwardReal(dst, src)
+			}
+		})
+	}
+}
+
+// BenchmarkFFTWrapper measures the unchanged package-level API (allocates
+// its output but shares the cached plan) — the speedup every existing
+// caller gets for free.
+func BenchmarkFFTWrapper(b *testing.B) {
+	for _, bc := range benchSizes {
+		b.Run(bc.name, func(b *testing.B) {
+			src := benchInputComplex(bc.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FFT(src)
+			}
+		})
 	}
 }

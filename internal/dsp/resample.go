@@ -89,24 +89,3 @@ func AddDelayedImpulse(dst []float64, pos, amplitude float64) {
 		dst[j] += amplitude * s * w
 	}
 }
-
-// ResampleLinear converts x from srcRate to dstRate by linear interpolation.
-// It is intended for envelope-level uses (IMU streams), not audio fidelity.
-func ResampleLinear(x []float64, srcRate, dstRate float64) []float64 {
-	if len(x) == 0 || srcRate <= 0 || dstRate <= 0 {
-		return nil
-	}
-	n := int(math.Floor(float64(len(x)-1)*dstRate/srcRate)) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pos := float64(i) * srcRate / dstRate
-		lo := int(math.Floor(pos))
-		if lo >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = x[lo]*(1-frac) + x[lo+1]*frac
-	}
-	return out
-}

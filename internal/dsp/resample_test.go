@@ -75,20 +75,3 @@ func TestAddDelayedImpulseNegativePos(t *testing.T) {
 		t.Error("negative position should be ignored")
 	}
 }
-
-func TestResampleLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4}
-	y := ResampleLinear(x, 100, 200)
-	if len(y) != 9 {
-		t.Fatalf("upsample length %d, want 9", len(y))
-	}
-	for i, want := range []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4} {
-		if math.Abs(y[i]-want) > 1e-12 {
-			t.Errorf("sample %d: got %g want %g", i, y[i], want)
-		}
-	}
-	z := ResampleLinear(x, 100, 50)
-	if len(z) != 3 {
-		t.Fatalf("downsample length %d, want 3", len(z))
-	}
-}

@@ -161,25 +161,3 @@ func Speech(duration, sampleRate float64, rng *rand.Rand) []float64 {
 }
 
 func sq(x float64) float64 { return x * x }
-
-// MLS returns a maximum-length-sequence-like pseudo-random binary probe of
-// length n (values ±1) generated from a 16-bit LFSR seeded by seed. Such
-// sequences have near-ideal autocorrelation and are an alternative probe to
-// chirps for channel estimation.
-func MLS(n int, seed uint16) []float64 {
-	if seed == 0 {
-		seed = 0xACE1
-	}
-	lfsr := seed
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		bit := (lfsr ^ (lfsr >> 2) ^ (lfsr >> 3) ^ (lfsr >> 5)) & 1
-		lfsr = (lfsr >> 1) | (bit << 15)
-		if lfsr&1 == 1 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}

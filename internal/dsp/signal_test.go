@@ -94,24 +94,6 @@ func TestMusicAndSpeechNonTrivial(t *testing.T) {
 	}
 }
 
-func TestMLSAutocorrelation(t *testing.T) {
-	m := MLS(1023, 0xACE1)
-	ac := XCorr(m, m)
-	peak := ac[len(m)-1]
-	if peak <= 0 {
-		t.Fatal("MLS autocorrelation peak must be positive")
-	}
-	side := 0.0
-	for i, v := range ac {
-		if absInt(i-(len(m)-1)) > 2 && math.Abs(v) > side {
-			side = math.Abs(v)
-		}
-	}
-	if side/peak > 0.25 {
-		t.Errorf("MLS sidelobe ratio %g too high", side/peak)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a := Music(0.2, 48000, rand.New(rand.NewSource(42)))
 	b := Music(0.2, 48000, rand.New(rand.NewSource(42)))
@@ -120,4 +102,29 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal("Music is not deterministic for a fixed seed")
 		}
 	}
+}
+
+func TestSpeechCentroidBelowNoise(t *testing.T) {
+	// The Fig 22 story in one number: speech concentrates low, white
+	// noise spreads flat.
+	rng := rand.New(rand.NewSource(3))
+	sr := 48000.0
+	sp := Speech(0.5, sr, rng)
+	wn := WhiteNoise(24000, rng)
+	if spectralCentroid(sp, sr) >= spectralCentroid(wn, sr) {
+		t.Error("speech centroid should sit below white noise")
+	}
+}
+
+// spectralCentroid returns the power-weighted mean frequency (Hz) of x,
+// skipping DC.
+func spectralCentroid(x []float64, sampleRate float64) float64 {
+	spec := FFTReal(x)
+	var num, den float64
+	for i := 1; i < len(spec)/2; i++ {
+		p := real(spec[i])*real(spec[i]) + imag(spec[i])*imag(spec[i])
+		num += float64(i) / float64(len(spec)) * sampleRate * p
+		den += p
+	}
+	return num / den
 }

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // MaxAbs returns the maximum absolute sample value of x (0 for empty input).
 func MaxAbs(x []float64) float64 {
@@ -14,18 +11,6 @@ func MaxAbs(x []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMaxAbs returns the index of the sample with the largest absolute value,
-// or -1 for an empty slice.
-func ArgMaxAbs(x []float64) int {
-	idx, m := -1, -1.0
-	for i, v := range x {
-		if a := math.Abs(v); a > m {
-			m, idx = a, i
-		}
-	}
-	return idx
 }
 
 // RMS returns the root-mean-square value of x (0 for empty input).
@@ -47,22 +32,6 @@ func Energy(x []float64) float64 {
 		s += v * v
 	}
 	return s
-}
-
-// Normalize returns a copy of x scaled so its peak absolute value is 1.
-// A zero signal is returned unchanged.
-func Normalize(x []float64) []float64 {
-	out := make([]float64, len(x))
-	m := MaxAbs(x)
-	if m == 0 {
-		copy(out, x)
-		return out
-	}
-	inv := 1 / m
-	for i, v := range x {
-		out[i] = v * inv
-	}
-	return out
 }
 
 // Scale returns x multiplied element-wise by k.
@@ -89,20 +58,6 @@ func Add(a, b []float64) []float64 {
 	return out
 }
 
-// Sub returns a - b with zero-padding semantics like Add.
-func Sub(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	copy(out, a)
-	for i, v := range b {
-		out[i] -= v
-	}
-	return out
-}
-
 // ZeroPad returns x extended with zeros to length n (or a copy truncated to
 // n if n < len(x)).
 func ZeroPad(x []float64, n int) []float64 {
@@ -118,11 +73,6 @@ func DB(amp float64) float64 {
 		return math.Inf(-1)
 	}
 	return 20 * math.Log10(amp)
-}
-
-// FromDB converts decibels to a linear amplitude ratio.
-func FromDB(db float64) float64 {
-	return math.Pow(10, db/20)
 }
 
 // Clamp limits v to [lo, hi].
@@ -155,48 +105,4 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// Median returns the median of x (0 for empty input). x is not modified.
-func Median(x []float64) float64 {
-	return Percentile(x, 50)
-}
-
-// Percentile returns the p-th percentile (0..100) of x using linear
-// interpolation between order statistics. x is not modified.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

@@ -46,73 +46,3 @@ func NormXCorrPeak(a, b []float64) (peak float64, lag int) {
 	peak, lag = XCorrPeak(a, b)
 	return peak / math.Sqrt(ea*eb), lag
 }
-
-// XCorrAtLag returns the raw correlation of a and b at a single lag, using
-// the XCorr convention: sum_t b[t] * a[t-lag].
-func XCorrAtLag(a, b []float64, lag int) float64 {
-	s := 0.0
-	for t := range b {
-		j := t - lag
-		if j >= 0 && j < len(a) {
-			s += b[t] * a[j]
-		}
-	}
-	return s
-}
-
-// GCCPHAT computes the generalized cross-correlation with phase transform of
-// two equal-rate signals and returns the delay of b relative to a in
-// samples (positive: b arrives later). maxLag bounds the search (pass 0 for
-// unbounded). PHAT whitening sharpens the correlation peak under
-// reverberation, which helps first-path delay estimation.
-func GCCPHAT(a, b []float64, maxLag int) int {
-	n := len(a) + len(b) - 1
-	if n <= 1 {
-		return 0
-	}
-	m := NextPow2(n)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	fftRadix2(fa, false)
-	fftRadix2(fb, false)
-	for i := range fa {
-		cross := fa[i] * conj(fb[i])
-		mag := complexAbs(cross)
-		if mag > 1e-12 {
-			fa[i] = cross / complex(mag, 0)
-		} else {
-			fa[i] = 0
-		}
-	}
-	fftRadix2(fa, true)
-	// fa now holds the circular GCC; lag k is at index k (mod m), negative
-	// lags wrap to the top.
-	if maxLag <= 0 || maxLag >= m/2 {
-		maxLag = m/2 - 1
-	}
-	best, bestLag := math.Inf(-1), 0
-	for lag := -maxLag; lag <= maxLag; lag++ {
-		idx := lag
-		if idx < 0 {
-			idx += m
-		}
-		v := real(fa[idx])
-		if v > best {
-			best, bestLag = v, lag
-		}
-	}
-	// XCorr convention: positive lag means b is delayed relative to a. The
-	// circular correlation computed here has a at +lag when a leads, so
-	// negate to match.
-	return -bestLag
-}
-
-func conj(c complex128) complex128 {
-	return complex(real(c), -imag(c))
-}

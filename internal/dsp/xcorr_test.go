@@ -65,29 +65,3 @@ func TestNormXCorrZero(t *testing.T) {
 		t.Errorf("zero-signal correlation = %g, want 0", p)
 	}
 }
-
-func TestGCCPHATDelay(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := GaussianNoise(2048, 1, rng)
-	for _, d := range []int{0, 3, 17, 64} {
-		b := make([]float64, len(a)+d)
-		copy(b[d:], a)
-		got := GCCPHAT(a, b, 128)
-		if got != d {
-			t.Errorf("delay %d: GCCPHAT = %d", d, got)
-		}
-	}
-}
-
-func TestXCorrAtLagMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	a := GaussianNoise(40, 1, rng)
-	b := GaussianNoise(30, 1, rng)
-	full := XCorr(a, b)
-	for lag := -(len(a) - 1); lag < len(b); lag++ {
-		idx := lag + len(a) - 1
-		if math.Abs(full[idx]-XCorrAtLag(a, b, lag)) > 1e-9 {
-			t.Fatalf("lag %d mismatch", lag)
-		}
-	}
-}

@@ -562,40 +562,11 @@ func shrinkAround(bounds Bounds, x []float64, frac float64) Bounds {
 	return out
 }
 
-// GoldenSection minimizes a 1-D function on [lo, hi] to the given tolerance.
-func GoldenSection(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	invPhi := (math.Sqrt(5) - 1) / 2
-	a, b := lo, hi
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	mid := (a + b) / 2
-	return mid, f(mid)
-}
-
-// Minimize runs GridSearch then refines with NelderMead — the composite
-// strategy the sensor-fusion module uses for E=(a,b,c).
-func Minimize(f Objective, bounds Bounds, gridPoints int, opt NelderMeadOptions) (Result, error) {
-	return MinimizeParallel(f, bounds, gridPoints, 1, opt)
-}
-
-// MinimizeParallel is Minimize with the seeding grid evaluated by workers
-// concurrent goroutines (<= 0 means GOMAXPROCS; the simplex refinement is
-// inherently sequential either way). f must be safe for concurrent calls
+// MinimizeParallel runs GridSearchParallel then refines the best grid
+// point with NelderMead — the composite strategy the sensor-fusion module
+// uses for E=(a,b,c). The seeding grid is evaluated by workers concurrent
+// goroutines (<= 0 means GOMAXPROCS; the simplex refinement is inherently
+// sequential either way). f must be safe for concurrent calls
 // when workers != 1. For a deterministic f the result is bit-identical at
 // every worker count.
 func MinimizeParallel(f Objective, bounds Bounds, gridPoints, workers int, opt NelderMeadOptions) (Result, error) {

@@ -98,16 +98,6 @@ func TestGridSearch(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	x, fx := GoldenSection(func(v float64) float64 { return (v - 1.3) * (v - 1.3) }, -4, 4, 1e-9)
-	if math.Abs(x-1.3) > 1e-6 {
-		t.Errorf("golden section found %g, want 1.3", x)
-	}
-	if fx > 1e-10 {
-		t.Errorf("objective %g", fx)
-	}
-}
-
 func TestMinimizeEscapesLocalMinimum(t *testing.T) {
 	// Two basins; the global one is narrow at x=2, a broad local one at
 	// x=-2. Pure Nelder-Mead from 0 with a small step may fall into
@@ -116,7 +106,7 @@ func TestMinimizeEscapesLocalMinimum(t *testing.T) {
 		v := x[0]
 		return math.Min(math.Pow(v+2, 2)+0.5, 3*math.Pow(v-2, 2))
 	}
-	res, err := Minimize(f, box(1, -5, 5), 41, NelderMeadOptions{Tol: 1e-12})
+	res, err := MinimizeParallel(f, box(1, -5, 5), 41, 1, NelderMeadOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +123,7 @@ func TestMinimizeNeverWorseThanGrid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		full, err := Minimize(obj, box(2, -2, 2), 9, NelderMeadOptions{})
+		full, err := MinimizeParallel(obj, box(2, -2, 2), 9, 1, NelderMeadOptions{})
 		if err != nil {
 			return false
 		}
@@ -374,7 +364,7 @@ func TestMinimizeCascadeErrors(t *testing.T) {
 }
 
 func TestMinimizeParallelMatchesMinimize(t *testing.T) {
-	want, err := Minimize(rosenbrock, box(2, -2, 2), 5, NelderMeadOptions{MaxEvals: 200})
+	want, err := MinimizeParallel(rosenbrock, box(2, -2, 2), 5, 1, NelderMeadOptions{MaxEvals: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

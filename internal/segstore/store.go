@@ -432,7 +432,7 @@ func (s *Store) Put(p *Profile) error {
 }
 
 // PutBatch persists profiles with a single group commit at the end — the
-// bulk-load path for migrations and rebalancing.
+// bulk-load path (restores, rebalancing).
 func (s *Store) PutBatch(ps []*Profile) error {
 	var lastSeq uint64
 	for _, p := range ps {

@@ -114,12 +114,6 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := store.Migrated(); n > 0 {
-		cfg.Logger.Info("migrated legacy JSON profiles", "count", n)
-	}
-	for _, issue := range store.MigrationIssues() {
-		cfg.Logger.Warn("legacy profile left unmigrated", "issue", issue)
-	}
 	var (
 		pm       *priorManager
 		onStored func(*StoredProfile)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -29,9 +28,9 @@ var ErrProfileNotFound = errors.New("service: no profile stored for that user")
 // as keys.
 var ErrBadUser = errors.New("service: invalid user id")
 
-// validUser matches the identifiers accepted as profile owners: they
-// historically doubled as filenames (and still name legacy import files),
-// so the alphabet is deliberately narrow.
+// validUser matches the identifiers accepted as profile owners. They
+// appear in URL paths, log lines and segment-store keys, so the alphabet
+// is deliberately narrow.
 var validUser = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // ValidUser reports whether a user identifier is acceptable to the store.
@@ -41,9 +40,6 @@ func ValidUser(user string) bool {
 
 // Store persists profiles in an append-only binary segment store under dir
 // (see internal/segstore), with an LRU cache of decoded profiles in front.
-// Directories written by older builds — one JSON file per user — are
-// migrated into the segment store on open, so a seed deployment upgrades
-// in place.
 //
 // Profiles returned by Get are shared: callers must treat them (and their
 // tables) as read-only.
@@ -58,9 +54,6 @@ type Store struct {
 	inflight map[string]*loadCall     // user -> in-progress cold read
 
 	hits, misses, notFound, evictions atomic.Uint64
-
-	migrated   int      // legacy JSON profiles imported on open
-	migrateErr []string // legacy files left behind (corrupt / unreadable)
 
 	// putStall, when set, runs during Put's disk-write section while no
 	// lock is held (regression seam: a slow write must not block reads).
@@ -110,80 +103,14 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 		order:    list.New(),
 		inflight: make(map[string]*loadCall),
 	}
-	if !opt.ReadOnly {
-		if err := s.migrateLegacyJSON(); err != nil {
-			seg.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
-// migrateLegacyJSON imports pre-segment profiles (one <user>.json per
-// user) into the segment store and removes the files once the batch is
-// durable. A JSON file whose user already has a segment record is simply
-// removed: the segment copy is at least as new (a crash between a prior
-// import and its cleanup, or a later Put). Unreadable files are left in
-// place and reported via MigrationIssues, never silently deleted.
-func (s *Store) migrateLegacyJSON() error {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("service: scan store dir: %w", err)
-	}
-	var batch []*StoredProfile
-	var imported, dupes []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		user := strings.TrimSuffix(name, ".json")
-		if !ValidUser(user) {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		if s.seg.Has(user) {
-			dupes = append(dupes, path)
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			s.migrateErr = append(s.migrateErr, fmt.Sprintf("%s: %v", name, err))
-			continue
-		}
-		var p StoredProfile
-		if err := json.Unmarshal(data, &p); err != nil || p.Table == nil {
-			s.migrateErr = append(s.migrateErr, fmt.Sprintf("%s: not a stored profile", name))
-			continue
-		}
-		p.User = user // the filename is authoritative, as it was for reads
-		batch = append(batch, &p)
-		imported = append(imported, path)
-	}
-	if len(batch) > 0 {
-		// One group commit covers the whole import; only after it returns
-		// (records durable) may the JSON copies go away.
-		if err := s.seg.PutBatch(batch); err != nil {
-			return fmt.Errorf("service: migrate legacy profiles: %w", err)
-		}
-	}
-	for _, path := range append(imported, dupes...) {
-		os.Remove(path) // best-effort: a leftover is re-checked next open
-	}
-	s.migrated = len(batch)
-	return nil
-}
-
-// Migrated returns how many legacy JSON profiles this open imported.
-func (s *Store) Migrated() int { return s.migrated }
-
-// MigrationIssues lists legacy files that could not be imported (left in
-// place on disk).
-func (s *Store) MigrationIssues() []string { return s.migrateErr }
-
 // sweepStaging removes staging files abandoned by a crash between
-// CreateTemp and Rename in older builds' Put path. Best-effort: a racing
-// removal or permission error just leaves the file for the next open.
+// CreateTemp and Rename: prior.Save stages the population prior as
+// ".population-prior.json.tmp-*" in the store directory. Best-effort: a
+// racing removal or permission error just leaves the file for the next
+// open.
 func sweepStaging(dir string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -111,131 +110,6 @@ func TestColdReadsShareOneDecode(t *testing.T) {
 	hits, misses, _, _ := s2.Stats()
 	if misses != 1 || hits != readers-1 {
 		t.Fatalf("counters hits=%d misses=%d, want %d/1", hits, misses, readers-1)
-	}
-}
-
-// TestOpenStoreMigratesLegacyJSON covers the upgrade path: a directory of
-// one-JSON-file-per-user profiles (the pre-segment layout) is imported on
-// open, served bit-exactly, and the files removed once durable. Unreadable
-// files are reported and left alone; dot-files (the population prior) are
-// never touched.
-func TestOpenStoreMigratesLegacyJSON(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string]*StoredProfile{}
-	for _, u := range []string{"alice", "bob"} {
-		p := sampleProfile(u)
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, u+".json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want[u] = p
-	}
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ".population-prior.json"), []byte(`{"k":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Migrated(); got != 2 {
-		t.Fatalf("Migrated() = %d, want 2", got)
-	}
-	if issues := s.MigrationIssues(); len(issues) != 1 {
-		t.Fatalf("MigrationIssues() = %v, want the broken file", issues)
-	}
-	users, err := s.Users()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != 2 || users[0] != "alice" || users[1] != "bob" {
-		t.Fatalf("Users() = %v", users)
-	}
-	for u, w := range want {
-		got, err := s.Get(u)
-		if err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
-		if got.JobID != w.JobID || got.CreatedUnixMS != w.CreatedUnixMS || got.HeadParams != w.HeadParams {
-			t.Fatalf("%s metadata lost in migration", u)
-		}
-		tablesBitsEqual(t, w.Table, got.Table)
-	}
-	// Imported files are gone; the broken one and the prior stay.
-	for _, u := range []string{"alice", "bob"} {
-		if _, err := os.Stat(filepath.Join(dir, u+".json")); !os.IsNotExist(err) {
-			t.Fatalf("%s.json still on disk after migration", u)
-		}
-	}
-	for _, name := range []string{"broken.json", ".population-prior.json"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("%s removed by migration: %v", name, err)
-		}
-	}
-	s.Close()
-
-	// Second open: nothing left to migrate, everything still served.
-	s2, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Migrated(); got != 0 {
-		t.Fatalf("reopen migrated %d profiles, want 0", got)
-	}
-	got, err := s2.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesBitsEqual(t, want["alice"].Table, got.Table)
-}
-
-// TestMigrationPrefersSegmentRecordOverStaleJSON: a JSON file left behind
-// by a crash mid-cleanup must not clobber a newer segment record for the
-// same user.
-func TestMigrationPrefersSegmentRecordOverStaleJSON(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newer := sampleProfile("alice")
-	newer.JobID = "newer-segment-record"
-	if err := s.Put(newer); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	stale := sampleProfile("alice")
-	stale.JobID = "stale-json-leftover"
-	data, err := json.Marshal(stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "alice.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err := s2.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.JobID != "newer-segment-record" {
-		t.Fatalf("stale JSON won over segment record: JobID %q", got.JobID)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "alice.json")); !os.IsNotExist(err) {
-		t.Fatal("stale JSON left on disk")
 	}
 }
 

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,14 +18,17 @@ import (
 // emits at once (samples per ear).
 const streamOutChunk = 4096
 
-// parseQueryFloat reads an optional float query parameter, reporting 400
-// itself. ok is false when the caller should stop.
+// parseQueryFloat reads an optional finite float query parameter,
+// reporting 400 itself. ok is false when the caller should stop.
 func parseQueryFloat(w http.ResponseWriter, r *http.Request, name string, def float64) (v float64, ok bool) {
 	s := r.URL.Query().Get(name)
 	if s == "" {
 		return def, true
 	}
 	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = errors.New("not a finite number")
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad %s %q: %v", name, s, err)
 		return 0, false
@@ -279,7 +284,8 @@ func renderSceneOptions(w http.ResponseWriter, r *http.Request) (opt stream.Scen
 // tracking. The request body is a frame stream of interleaved stereo
 // float32; the response is newline-delimited JSON, one stream.AngleEvent
 // per estimation hop. Query parameters "window" and "hop" (samples)
-// override the tracker defaults.
+// override the tracker defaults; the window may span at most one second
+// of audio, since the tracker sizes its FFT plans and buffers from it.
 func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 	markStreamErrorsClose(w)
 	p := s.profileFor(w, r.PathValue("user"))
@@ -288,6 +294,10 @@ func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 	}
 	window, ok := parseQueryFloat(w, r, "window", 0)
 	if !ok {
+		return
+	}
+	if window > p.Table.SampleRate {
+		httpError(w, http.StatusUnprocessableEntity, "window %g samples exceeds one second of audio (%g samples)", window, p.Table.SampleRate)
 		return
 	}
 	hop, ok := parseQueryFloat(w, r, "hop", 0)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -508,6 +509,60 @@ func TestStreamAoAEndpointTracksStaticSource(t *testing.T) {
 		t.Errorf("drops on a clean stream: overruns %g, underruns %g",
 			m[`uniqd_stream_overrun_samples_total`], m[`uniqd_stream_underrun_samples_total`])
 	}
+}
+
+// TestStreamQueryParamsBounded pins the query bounds: a non-finite float
+// is a 400, and an AoA window beyond one second of audio is a 422 that
+// never opens a session (the tracker sizes its FFT plans and buffers from
+// the window, so an unbounded one let a single request ask for
+// gigabytes).
+func TestStreamQueryParamsBounded(t *testing.T) {
+	svc, client := newStreamTestServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	p, err := svc.Store().Get("vol1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := int(p.Table.SampleRate)
+	// open returns the error of a stream open, closing any stream that
+	// should not have opened.
+	open := func(path string) error {
+		pw, resp, err := client.openStream(ctx, path)
+		if err == nil {
+			pw.Close()
+			resp.Body.Close()
+		}
+		return err
+	}
+
+	for _, q := range []string{"source=NaN", "source=Inf", "source=-Inf"} {
+		if err := open("/v1/stream/render/vol1?" + q); !isStatus(err, 400) {
+			t.Errorf("render ?%s: %v, want 400", q, err)
+		}
+	}
+	if err := open("/v1/stream/aoa/vol1?window=NaN"); !isStatus(err, 400) {
+		t.Errorf("aoa ?window=NaN: %v, want 400", err)
+	}
+	for _, window := range []string{strconv.Itoa(sr + 1), "1e300"} {
+		err := open("/v1/stream/aoa/vol1?window=" + window)
+		if !isStatus(err, 422) || err.(*APIError).Code != CodeUnprocessable {
+			t.Errorf("aoa window %s: %v, want 422 %s", window, err, CodeUnprocessable)
+		}
+	}
+	m, err := client.MetricsJSON(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m[`uniqd_stream_active_sessions{kind="aoa"}`]; n != 0 {
+		t.Errorf("%g aoa sessions live after rejected opens, want 0", n)
+	}
+
+	st, err := client.StreamAoA(ctx, "vol1", AoAStreamOptions{Window: sr})
+	if err != nil {
+		t.Fatalf("aoa window of exactly one second: %v", err)
+	}
+	st.Close()
 }
 
 func TestStreamEndpointsRejectUnknownUser(t *testing.T) {

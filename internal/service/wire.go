@@ -171,7 +171,8 @@ func decodeF32LEStereo(l, r []float64, payload []byte) (outL, outR []float64, er
 	return l, r, nil
 }
 
-// encodeF64BE / decodeF64BE carry a single float64 (pose frames).
+// encodeF64BE / decodeF64BE carry a single float64 (pose and bearing
+// frames). Angles must be finite, so decodeF64BE rejects NaN and ±Inf.
 func encodeF64BE(v float64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
@@ -182,5 +183,9 @@ func decodeF64BE(payload []byte) (float64, error) {
 	if len(payload) != 8 {
 		return 0, fmt.Errorf("service: pose payload must be 8 bytes, got %d", len(payload))
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(payload)), nil
+	v := math.Float64frombits(binary.BigEndian.Uint64(payload))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("service: angle %g is not finite", v)
+	}
+	return v, nil
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -36,6 +38,12 @@ func FuzzReadFrame(f *testing.F) {
 	// A length prefix past maxFramePayload must be refused before any
 	// payload is allocated or read.
 	f.Add([]byte{frameAudio, 0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+	// Non-finite angles must be refused: a NaN bearing once reached a room
+	// scene's image geometry and panicked.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		f.Add(encodeFrame(f, framePose, encodeF64BE(v)))
+		f.Add(encodeFrame(f, frameBearing, append(appendU16BE(nil, 0), encodeF64BE(v)...)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -83,8 +91,10 @@ func FuzzReadFrame(f *testing.F) {
 				}
 			case framePose, frameBearing:
 				v, err := decodeF64BE(payload)
-				if (err == nil) != (len(payload) == 8) {
-					t.Fatalf("decodeF64BE on %d bytes: err %v", len(payload), err)
+				// Finite iff the 11 exponent bits are not all ones.
+				finite := len(payload) == 8 && binary.BigEndian.Uint64(payload)>>52&0x7ff != 0x7ff
+				if (err == nil) != finite {
+					t.Fatalf("decodeF64BE on %x: err %v", payload, err)
 				}
 				if err == nil && !bytes.Equal(encodeF64BE(v), payload) {
 					t.Fatalf("decodeF64BE does not round-trip %x", payload)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/acoustic"
 	"repro/internal/dsp"
@@ -137,6 +136,3 @@ func RunSession(v Volunteer, cfg SessionConfig) (*Session, error) {
 	s.IMU = cfg.Gyro.Simulate(orient, traj.Duration, v.Rand("imu"))
 	return s, nil
 }
-
-// SessionRand builds a derived RNG for aspects of session post-processing.
-func SessionRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

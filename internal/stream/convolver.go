@@ -84,7 +84,6 @@ func FoldIntoSpan(angleDeg float64, t *hrtf.Table) (deg float64, swapEars bool) 
 // source mix.
 type Convolver struct {
 	table   *hrtf.Table
-	sr      float64
 	block   int // B: windowed block length
 	hop     int // B/2: block advance
 	irLen   int // longest far-field IR accommodated (fixed at construction)
@@ -187,7 +186,6 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 	}
 	c := &Convolver{
 		table:    t,
-		sr:       sr,
 		block:    block,
 		hop:      block / 2,
 		irLen:    irLen,
@@ -223,7 +221,7 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 	return c, nil
 }
 
-// loadSpectra (re)builds the per-angle partition spectra for a table.
+// loadSpectra builds the per-angle partition spectra for a table.
 func (c *Convolver) loadSpectra(t *hrtf.Table) error {
 	n := t.NumAngles()
 	specL := make([][][]complex128, n)
@@ -275,29 +273,6 @@ func (c *Convolver) loadSpectra(t *hrtf.Table) error {
 	return nil
 }
 
-// SetTable switches the convolver to a different personalization profile.
-// Blocks formed after the switch render through the new table; the Bartlett
-// overlap crossfades the transition click-free. The new table must share
-// the sample rate and angular layout role of the old one and its longest
-// far-field IR must not exceed the convolver's configured tail
-// (MaxFarIRLen at construction); build a new Convolver otherwise.
-func (c *Convolver) SetTable(t *hrtf.Table) error {
-	if t == nil || t.NumAngles() == 0 || t.MaxFarIRLen() == 0 {
-		return ErrNoFarField
-	}
-	if t.SampleRate != c.sr {
-		return fmt.Errorf("stream: table sample rate %g differs from the stream's %g", t.SampleRate, c.sr)
-	}
-	if got := t.MaxFarIRLen(); got > c.irLen {
-		return fmt.Errorf("stream: new table IR length %d exceeds the convolver's tail %d", got, c.irLen)
-	}
-	if err := c.loadSpectra(t); err != nil {
-		return err
-	}
-	c.table = t
-	return nil
-}
-
 // SetArrivals installs the set of propagation paths rendered for blocks
 // formed from now on (copied; the caller keeps arr); a new convolver
 // renders one unit-gain arrival from 90°. Angles must already be folded
@@ -335,10 +310,6 @@ func (c *Convolver) BlockSize() int { return c.block }
 // TailLen returns the convolution tail appended after the input ends:
 // the IR length plus the configured delay headroom.
 func (c *Convolver) TailLen() int { return c.irLen + c.maxDelay }
-
-// LatencySamples returns the worst-case algorithmic latency: output sample
-// j is ready once input sample j + block + hop - 1 has been pushed.
-func (c *Convolver) LatencySamples() int { return c.block + c.hop - 1 }
 
 // Drained reports whether the input was flushed and every output sample
 // (including the tail) has been read.

@@ -103,6 +103,8 @@ type sceneArrival struct {
 // sceneMixChunk bounds the per-read scratch (samples per ear).
 const sceneMixChunk = 4096
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // NewScene builds a scene over a personalization table.
 func NewScene(t *hrtf.Table, opt SceneOptions) (*Scene, error) {
 	if t == nil || t.NumAngles() == 0 {
@@ -127,6 +129,9 @@ func NewScene(t *hrtf.Table, opt SceneOptions) (*Scene, error) {
 	maxDist := 0.0
 	cfgs := make([]SceneSource, len(opt.Sources))
 	for i, s := range opt.Sources {
+		if !finite(s.BearingDeg) || !finite(s.Distance) {
+			return nil, fmt.Errorf("stream: source %d bearing %g / distance %g not finite", i, s.BearingDeg, s.Distance)
+		}
 		if s.Distance <= 0 {
 			s.Distance = 2
 		}
@@ -246,12 +251,16 @@ func (sc *Scene) SetPose(yawDeg float64) {
 }
 
 // SetBearing moves one source's world-frame bearing (degrees),
-// recomputing its image geometry.
+// recomputing its image geometry. A non-finite bearing is an error and
+// leaves the source where it was.
 func (sc *Scene) SetBearing(i int, deg float64) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if i < 0 || i >= len(sc.srcs) {
 		return fmt.Errorf("stream: scene has no source %d", i)
+	}
+	if !finite(deg) {
+		return fmt.Errorf("stream: source %d bearing %g not finite", i, deg)
 	}
 	s := sc.srcs[i]
 	s.cfg.BearingDeg = deg

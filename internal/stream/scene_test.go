@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -380,6 +381,68 @@ func TestScenePushBadSource(t *testing.T) {
 		Sources: []stream.SceneSource{{BearingDeg: 90}},
 	}); err == nil {
 		t.Error("invalid room config should fail scene construction")
+	}
+}
+
+// TestSceneRejectsNonFiniteGeometry is the regression test for a panic: a
+// NaN bearing on a room scene turned into an int(NaN) image delay, which
+// SetArrivals refused and applyPose turned into "scene arrivals exceed
+// headroom". Non-finite bearings and distances are errors now, and a
+// refused bearing leaves the source where it was.
+func TestSceneRejectsNonFiniteGeometry(t *testing.T) {
+	tab := testTable(t)
+	sc, err := stream.NewScene(tab, stream.SceneOptions{
+		Room:    testRoom(),
+		Sources: []stream.SceneSource{{BearingDeg: 40}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, deg := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := sc.SetBearing(0, deg); err == nil {
+			t.Errorf("SetBearing(0, %g) accepted", deg)
+		}
+	}
+	// The source still renders from its last good bearing.
+	ref, err := stream.NewScene(tab, stream.SceneOptions{
+		Room:    testRoom(),
+		Sources: []stream.SceneSource{{BearingDeg: 40}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := dsp.WhiteNoise(4*sc.BlockSize(), rand.New(rand.NewSource(5)))
+	render := func(sc *stream.Scene) (l, r []float64) {
+		if _, err := sc.PushFrame(0, mono); err != nil {
+			t.Fatal(err)
+		}
+		sc.Flush()
+		drainScene(sc, &l, &r, make([]float64, 1024), make([]float64, 1024))
+		return l, r
+	}
+	gotL, gotR := render(sc)
+	wantL, wantR := render(ref)
+	if len(gotL) != len(wantL) {
+		t.Fatalf("rendered %d samples, want %d", len(gotL), len(wantL))
+	}
+	for i := range gotL {
+		if gotL[i] != wantL[i] || gotR[i] != wantR[i] {
+			t.Fatalf("sample %d differs from an untouched scene", i)
+		}
+	}
+
+	for _, src := range []stream.SceneSource{
+		{BearingDeg: math.NaN()},
+		{BearingDeg: math.Inf(1)},
+		{BearingDeg: 90, Distance: math.NaN()},
+		{BearingDeg: 90, Distance: math.Inf(1)},
+	} {
+		if _, err := stream.NewScene(tab, stream.SceneOptions{
+			Room:    testRoom(),
+			Sources: []stream.SceneSource{src},
+		}); err == nil {
+			t.Errorf("NewScene accepted source %+v", src)
+		}
 	}
 }
 

@@ -218,75 +218,6 @@ func TestConvolverOverrunAccounting(t *testing.T) {
 	}
 }
 
-// TestConvolverSetTableSwitches hot-swaps the profile mid-stream: the
-// steady state after the switch must match the new table, with no error
-// and no glitch, and incompatible tables must be refused.
-func TestConvolverSetTableSwitches(t *testing.T) {
-	tab := testTable(t)
-	// A "new profile": same geometry, IRs scaled by 0.5.
-	half := hrtf.NewTable(tab.SampleRate, tab.MinAngle, tab.AngleStep, tab.NumAngles())
-	for i := 0; i < tab.NumAngles(); i++ {
-		h := tab.Far[i].Clone()
-		for j := range h.Left {
-			h.Left[j] *= 0.5
-		}
-		for j := range h.Right {
-			h.Right[j] *= 0.5
-		}
-		half.Far[i] = h
-	}
-
-	mono := dsp.Tone(440, 0.4, tab.SampleRate)
-	c, err := stream.NewConvolver(tab, stream.ConvolverOptions{MaxPending: len(mono)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetArrivals([]stream.Arrival{{AngleDeg: 70, Gain: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	mid := len(mono) / 2
-	c.Push(mono[:mid])
-	if err := c.SetTable(half); err != nil {
-		t.Fatal(err)
-	}
-	c.Push(mono[mid:])
-	c.Flush()
-	gotL := make([]float64, len(mono)+c.TailLen())
-	gotR := make([]float64, len(mono)+c.TailLen())
-	c.Read(gotL, gotR)
-
-	r := &render.Renderer{Table: tab}
-	refL, _, err := r.RenderMoving(mono, func(float64) float64 { return 70 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Well past the switch (old blocks' tails gone) the stream must be
-	// exactly half the old-table render.
-	from := mid + 2*c.BlockSize() + c.TailLen()
-	to := len(mono) - c.BlockSize()
-	if from >= to {
-		t.Fatal("test signal too short for the switch margin")
-	}
-	for i := from; i < to; i++ {
-		if math.Abs(gotL[i]-0.5*refL[i]) > 1e-9 {
-			t.Fatalf("post-switch sample %d: got %g, want %g", i, gotL[i], 0.5*refL[i])
-		}
-	}
-
-	// Incompatible tables are refused.
-	wrongSR := hrtf.NewTable(44100, tab.MinAngle, tab.AngleStep, 1)
-	wrongSR.Far[0] = hrtf.HRIR{Left: []float64{1}, Right: []float64{1}, SampleRate: 44100}
-	if err := c.SetTable(wrongSR); err == nil {
-		t.Error("sample-rate mismatch accepted")
-	}
-	longIR := hrtf.NewTable(tab.SampleRate, tab.MinAngle, tab.AngleStep, 1)
-	longIR.Far[0] = hrtf.HRIR{Left: make([]float64, c.TailLen()+1000), Right: nil, SampleRate: tab.SampleRate}
-	longIR.Far[0].Left[0] = 1
-	if err := c.SetTable(longIR); err == nil {
-		t.Error("over-long IR accepted")
-	}
-}
-
 // synthStatic renders a stereo stream of an unknown source at a fixed
 // angle straight through the table's own HRIRs (clean templates, so the
 // estimator has no model mismatch).
