@@ -189,32 +189,13 @@ func BenchmarkPipelinePersonalize(b *testing.B) {
 // is bit-identical across worker counts (asserted by
 // core.TestPersonalizeWorkerDeterminism).
 func BenchmarkPersonalizeParallel(b *testing.B) {
-	v := sim.NewVolunteer(1, 777)
-	sess, err := sim.RunSession(v, sim.SessionConfig{})
+	in, err := personalizeBenchInput()
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := core.SessionInput{
-		Probe: sess.Probe, SampleRate: sess.SampleRate,
-		IMU: sess.IMU, SystemIR: sess.SystemIR, SyncOffset: sess.SyncOffset,
-	}
-	for _, m := range sess.Measurements {
-		in.Stops = append(in.Stops, core.StopRecording{Time: m.Time, Left: m.Rec.Left, Right: m.Rec.Right})
-	}
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := core.PipelineOptions{
-				Workers: workers,
-				Fusion: core.FusionOptions{
-					GridPoints: 2,
-					MaxEvals:   40,
-					Loc:        core.LocalizerOptions{AngleStepDeg: 3, RadiusSteps: 8, BoundaryVertices: 120},
-				},
-				Gesture: core.GestureLimits{MaxResidualDeg: 15},
-			}
-			if workers == 1 {
-				opt.Workers = -1 // fully sequential baseline
-			}
+			opt := personalizeBenchOptions(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Personalize(in, opt); err != nil {

@@ -16,8 +16,8 @@ const guardRegressionThreshold = 1.20
 // TestBenchRegressionGuard replays the committed bench.json kernels for
 // the FFT plans, the streaming engine (convolver and AoA tracker), the
 // sensor-fusion solve on both its exact and cascade paths, and the
-// whole-pipeline personalize records, and fails on a >20% ns/op
-// regression. Opt-in (it costs benchmark time):
+// whole-pipeline personalize records with their per-stage breakdown, and
+// fails on a >20% ns/op regression. Opt-in (it costs benchmark time):
 //
 //	BENCH_GUARD=1 go test -run TestBenchRegressionGuard .
 //

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -58,8 +59,9 @@ func fuseBenchObservations() ([]core.FusionObservation, error) {
 }
 
 // personalizeBenchSession memoizes the simulated volunteer session shared
-// by every personalize/workers=N kernel, so the guard can replay those
-// records without re-rendering the session per measurement.
+// by every personalize/* kernel and BenchmarkPersonalizeParallel, so the
+// guard can replay those records without re-rendering the session per
+// measurement.
 var personalizeBenchSession struct {
 	sync.Once
 	in  core.SessionInput
@@ -242,11 +244,11 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		// cold reads, durable puts, bulk load.
 		return measureStoreKernel(name)
 	case strings.HasPrefix(name, "personalize/workers="):
-		// Whole pipeline, coarse fusion, N internal workers (mirrors
-		// BenchmarkPersonalizeParallel). Parallel records raise GOMAXPROCS
-		// to NumCPU for the measurement: go test binaries may start
-		// single-threaded, and a workers=N record measured on one scheduler
-		// thread would claim parallel cost it never paid.
+		// Whole pipeline, coarse fusion, N internal workers (the
+		// BenchmarkPersonalizeParallel workload). Parallel records raise
+		// GOMAXPROCS to NumCPU for the measurement: go test binaries may
+		// start single-threaded, and a workers=N record measured on one
+		// scheduler thread would claim parallel cost it never paid.
 		var workers int
 		if _, err := fmt.Sscanf(name[strings.LastIndex(name, "=")+1:], "%d", &workers); err != nil || workers <= 0 {
 			return testing.BenchmarkResult{}, false
@@ -255,18 +257,7 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		if err != nil {
 			return testing.BenchmarkResult{}, false
 		}
-		opt := core.PipelineOptions{
-			Workers: workers,
-			Fusion: core.FusionOptions{
-				GridPoints: 2,
-				MaxEvals:   40,
-				Loc:        core.LocalizerOptions{AngleStepDeg: 3, RadiusSteps: 8, BoundaryVertices: 120},
-			},
-			Gesture: core.GestureLimits{MaxResidualDeg: 15},
-		}
-		if workers == 1 {
-			opt.Workers = -1 // sequential: the 1-worker record skips pool overhead
-		}
+		opt := personalizeBenchOptions(workers)
 		if workers > 1 {
 			prev := runtime.GOMAXPROCS(runtime.NumCPU())
 			defer runtime.GOMAXPROCS(prev)
@@ -278,9 +269,85 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 				}
 			}
 		}), true
+	case strings.HasPrefix(name, "personalize/stage/"):
+		// One stage of the personalize/workers=1 solve: its mean wall time
+		// as the pipeline's own stage clock reports it to a benchmark-owned
+		// Observer. Time only; allocations are not attributed to stages.
+		stage := strings.TrimPrefix(name, "personalize/stage/")
+		if !slices.Contains(personalizeBenchStages, stage) {
+			return testing.BenchmarkResult{}, false
+		}
+		in, err := personalizeBenchInput()
+		if err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		// testing.Benchmark calls the function once per round with a
+		// growing b.N; obs ends up holding the final round's b.N solves.
+		var obs *stageTotal
+		testing.Benchmark(func(b *testing.B) {
+			obs = &stageTotal{stage: stage}
+			opt := personalizeBenchOptions(1)
+			opt.Observer = obs
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Personalize(in, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		return testing.BenchmarkResult{N: obs.n, T: obs.d}, true
 	}
 	return testing.BenchmarkResult{}, false
 }
+
+// personalizeBenchOptions is the pipeline configuration of the
+// personalize/* kernels and BenchmarkPersonalizeParallel.
+func personalizeBenchOptions(workers int) core.PipelineOptions {
+	opt := core.PipelineOptions{
+		Workers: workers,
+		Fusion: core.FusionOptions{
+			GridPoints: 2,
+			MaxEvals:   40,
+			Loc:        core.LocalizerOptions{AngleStepDeg: 3, RadiusSteps: 8, BoundaryVertices: 120},
+		},
+		Gesture: core.GestureLimits{MaxResidualDeg: 15},
+	}
+	if workers == 1 {
+		opt.Workers = -1 // sequential: the 1-worker record skips pool overhead
+	}
+	return opt
+}
+
+// personalizeBenchStages are the solve stages with a personalize/stage/*
+// record. The gesture check is left out: it takes about half a microsecond,
+// too short for a wall-clock stage timing to judge at the guard's 20%
+// threshold.
+var personalizeBenchStages = []string{
+	core.StageChannelEstimation,
+	core.StageSensorFusion,
+	core.StageNearField,
+	core.StageFarField,
+}
+
+// stageTotal is the Observer behind a personalize/stage/* record: it sums
+// the durations the pipeline reports for one stage.
+type stageTotal struct {
+	stage string
+	mu    sync.Mutex
+	n     int
+	d     time.Duration
+}
+
+func (s *stageTotal) StageDone(stage string, d time.Duration, _ error) {
+	if stage != s.stage {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.n++
+	s.d += d
+}
+
+func (*stageTotal) SkippedStops(int) {}
 
 // sceneBenchTable memoizes the profile shared by the scene kernels (three
 // kernels, one simulated measurement).
@@ -537,6 +604,15 @@ func TestEmitBenchJSON(t *testing.T) {
 		if base, par := perWorkers[1], perWorkers[n]; base > 0 && par > 0 {
 			sum.Derived["personalizeSpeedupNumCPUvs1"] = base / par
 		}
+	}
+	// The sequential solve broken down by stage.
+	for _, stage := range personalizeBenchStages {
+		name := "personalize/stage/" + stage
+		r, ok := measureKernel(name)
+		if !ok {
+			t.Fatalf("unknown bench kernel %q", name)
+		}
+		add(name, r)
 	}
 
 	out, err := json.MarshalIndent(sum, "", "  ")

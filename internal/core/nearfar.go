@@ -56,14 +56,15 @@ func SynthesizeFarField(near *hrtf.Table, params head.Params, opt NearFarOptions
 		return nil, ErrEmptyNearField
 	}
 	refTap := refTapSeconds * sr
+	alignedL, alignedR := alignNear(near, irLen, refTap)
 
 	n := int(180/opt.StepDeg) + 1
 	far := hrtf.NewTable(sr, 0, opt.StepDeg, n)
 	for i := 0; i < n; i++ {
 		theta := far.Angle(i)
 		leftSet, rightSet := contributingAngles(model, near, theta, opt.Radius)
-		hl := averageAligned(near, leftSet, head.Left, irLen, refTap)
-		hr := averageAligned(near, rightSet, head.Right, irLen, refTap)
+		hl := averageAligned(alignedL, leftSet, irLen)
+		hr := averageAligned(alignedR, rightSet, irLen)
 		if hl == nil || hr == nil {
 			// Degenerate geometry: fall back to the near-field HRIR at
 			// the same angle.
@@ -94,15 +95,15 @@ func SynthesizeFarField(near *hrtf.Table, params head.Params, opt NearFarOptions
 	return far, nil
 }
 
-// weightedAngle is a contributing near-field angle and its averaging
+// weightedAngle is a contributing near-field table entry and its averaging
 // weight. Rays closer to the ear-bound ray dominate the arrival physically,
 // so they carry more weight than rays near the central normal ray.
 type weightedAngle struct {
-	deg    float64
+	idx    int
 	weight float64
 }
 
-// contributingAngles returns the near-field table angles (degrees) whose
+// contributingAngles returns the near-field table entries whose
 // trajectory points intercept far-field rays bound for each ear: the arcs
 // [C,B] (left) and [C,D] (right) of Fig 12, with weights biased toward the
 // ear-bound ray.
@@ -145,12 +146,12 @@ func contributingAngles(model *head.Model, near *hrtf.Table, thetaDeg, radius fl
 		if o*sideL >= 0 {
 			ext := math.Abs(extentFor(sideL, posExtent, negExtent))
 			if math.Abs(o) <= ext {
-				left = append(left, weightedAngle{ang, rayWeight(o, oL, ext)})
+				left = append(left, weightedAngle{i, rayWeight(o, oL, ext)})
 			}
 		} else {
 			ext := math.Abs(extentFor(-sideL, posExtent, negExtent))
 			if math.Abs(o) <= ext {
-				right = append(right, weightedAngle{ang, rayWeight(o, oR, ext)})
+				right = append(right, weightedAngle{i, rayWeight(o, oR, ext)})
 			}
 		}
 	}
@@ -181,26 +182,39 @@ func extentFor(side, posExtent, negExtent float64) float64 {
 	return negExtent
 }
 
-// averageAligned first-tap aligns the selected near-field HRIRs for one ear
-// and forms their weighted average.
-func averageAligned(near *hrtf.Table, angles []weightedAngle, ear head.Ear, irLen int, refTap float64) []float64 {
+// alignNear first-tap aligns every non-empty near-field HRIR to refTap and
+// zero-pads it to irLen, per ear and indexed like near.Near (nil for empty
+// entries). contributingAngles only returns entries of the near table and
+// refTap is fixed for the solve, so each alignment is computed once here
+// instead of once per far-field angle whose arc includes it.
+func alignNear(near *hrtf.Table, irLen int, refTap float64) (left, right [][]float64) {
+	left = make([][]float64, near.NumAngles())
+	right = make([][]float64, near.NumAngles())
+	for i, h := range near.Near {
+		if h.Empty() {
+			continue
+		}
+		left[i] = dsp.ZeroPad(hrtf.AlignTo(h.Left, refTap), irLen)
+		right[i] = dsp.ZeroPad(hrtf.AlignTo(h.Right, refTap), irLen)
+	}
+	return left, right
+}
+
+// averageAligned forms the weighted average of the selected entries of one
+// ear's aligned near-field HRIRs (see alignNear).
+func averageAligned(aligned [][]float64, angles []weightedAngle, irLen int) []float64 {
 	if len(angles) == 0 {
 		return nil
 	}
 	acc := make([]float64, irLen)
 	totalW := 0.0
 	for _, wa := range angles {
-		h, err := near.NearAt(wa.deg)
-		if err != nil || h.Empty() || wa.weight <= 0 {
+		h := aligned[wa.idx]
+		if h == nil || wa.weight <= 0 {
 			continue
 		}
-		src := h.Left
-		if ear == head.Right {
-			src = h.Right
-		}
-		aligned := dsp.ZeroPad(hrtf.AlignTo(src, refTap), irLen)
 		for k := range acc {
-			acc[k] += wa.weight * aligned[k]
+			acc[k] += wa.weight * h[k]
 		}
 		totalW += wa.weight
 	}

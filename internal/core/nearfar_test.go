@@ -128,8 +128,8 @@ func TestContributingAnglesGeometry(t *testing.T) {
 		t.Fatalf("both ears should receive rays: left %d, right %d", len(left), len(right))
 	}
 	for _, wa := range append(append([]weightedAngle(nil), left...), right...) {
-		if wa.deg < 20 || wa.deg > 160 {
-			t.Errorf("contributing angle %g far from the source direction", wa.deg)
+		if deg := near.Angle(wa.idx); deg < 20 || deg > 160 {
+			t.Errorf("contributing angle %g far from the source direction", deg)
 		}
 		if wa.weight <= 0 || wa.weight > 1+1e-12 {
 			t.Errorf("weight %g out of (0,1]", wa.weight)
@@ -146,8 +146,8 @@ func TestContributingAnglesGeometry(t *testing.T) {
 		t.Errorf("frontal right-ear contributors %v should be empty for a left-hemisphere trajectory", right0)
 	}
 	for _, wa := range left0 {
-		if wa.deg > 95 {
-			t.Errorf("frontal left-ear contributor at %g deg", wa.deg)
+		if deg := near.Angle(wa.idx); deg > 95 {
+			t.Errorf("frontal left-ear contributor at %g deg", deg)
 		}
 	}
 }

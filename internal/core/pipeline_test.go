@@ -184,14 +184,28 @@ func TestPersonalizeContextCancel(t *testing.T) {
 		t.Errorf("cancelled context should abort the pipeline, got %v", err)
 	}
 	// A deadline that expires mid-solve must abort too: the fusion search
-	// checks the context on every objective evaluation.
+	// checks the context on every objective evaluation. The observer holds
+	// the solve after channel estimation until the deadline passes, so the
+	// expiry lands mid-solve however fast the solve is.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	_, err = PersonalizeContext(ctx2, sessionInput(s), PipelineOptions{})
+	_, err = PersonalizeContext(ctx2, sessionInput(s), PipelineOptions{Observer: holdAfterEstimation{ctx2}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline should abort the pipeline, got %v", err)
 	}
 }
+
+// holdAfterEstimation is an Observer that holds the solve after channel
+// estimation until ctx is done.
+type holdAfterEstimation struct{ ctx context.Context }
+
+func (h holdAfterEstimation) StageDone(stage string, _ time.Duration, _ error) {
+	if stage == StageChannelEstimation {
+		<-h.ctx.Done()
+	}
+}
+
+func (holdAfterEstimation) SkippedStops(int) {}
 
 func median(x []float64) float64 {
 	if len(x) == 0 {

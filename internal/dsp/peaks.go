@@ -119,31 +119,54 @@ func FirstPeak(x []float64, minRel float64) (index float64, value float64) {
 // interpolant of x within ±1 sample of the integer peak at i0, to 1/64
 // sample resolution.
 func refinePeakSinc(x []float64, i0 int) float64 {
-	const half = 12
-	const steps = 128 // over the ±1 sample span
 	best, bestT := math.Abs(x[i0]), float64(i0)
-	for s := -steps / 2; s <= steps/2; s++ {
-		t := float64(i0) + 2*float64(s)/steps
+	for s := -sincSteps / 2; s <= sincSteps/2; s++ {
+		t := float64(i0) + 2*float64(s)/sincSteps
+		k, w := &sincKernel[s+sincSteps/2], &sincWindow[s+sincSteps/2]
 		v := 0.0
-		for j := i0 - half; j <= i0+half; j++ {
+		for j := i0 - sincHalf; j <= i0+sincHalf; j++ {
 			if j < 0 || j >= len(x) {
 				continue
 			}
-			d := t - float64(j)
-			var k float64
-			if d == 0 {
-				k = 1
-			} else {
-				k = math.Sin(math.Pi*d) / (math.Pi * d)
-			}
-			w := 0.5 * (1 + math.Cos(math.Pi*d/float64(half+1)))
-			v += x[j] * k * w
+			c := j - i0 + sincHalf
+			v += x[j] * k[c] * w[c]
 		}
 		if a := math.Abs(v); a > best {
 			best, bestT = a, t
 		}
 	}
 	return bestT
+}
+
+// refinePeakSinc's interpolant: sincHalf taps either side of the peak,
+// evaluated at sincSteps+1 offsets spanning ±1 sample.
+const (
+	sincHalf  = 12
+	sincSteps = 128
+)
+
+// sincKernel and sincWindow tabulate refinePeakSinc's windowed-sinc taps.
+// Row s+64, column m+12 holds sin(πd)/(πd) and the Hann weight
+// 0.5(1+cos(πd/13)) at d = s/64 − m, for step s ∈ [−64, 64] and tap offset
+// m = j−i0 ∈ [−12, 12]. The offset d = (i0 + s/64) − j is exact in float64
+// for i0 < 2⁴⁶, so each entry has the bits the trig would give at the peak.
+// The factors stay separate because x·k·w evaluates as (x·k)·w: a fused k·w
+// entry could change the last bit.
+var sincKernel, sincWindow = sincTables()
+
+func sincTables() (k, w [sincSteps + 1][2*sincHalf + 1]float64) {
+	for s := -sincSteps / 2; s <= sincSteps/2; s++ {
+		t := 2 * float64(s) / sincSteps
+		for m := -sincHalf; m <= sincHalf; m++ {
+			d := t - float64(m)
+			k[s+sincSteps/2][m+sincHalf] = 1
+			if d != 0 {
+				k[s+sincSteps/2][m+sincHalf] = math.Sin(math.Pi*d) / (math.Pi * d)
+			}
+			w[s+sincSteps/2][m+sincHalf] = 0.5 * (1 + math.Cos(math.Pi*d/float64(sincHalf+1)))
+		}
+	}
+	return k, w
 }
 
 // TruncateAfter zeroes every sample of x at or beyond index n and returns a

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -92,5 +93,75 @@ func TestTruncateAfter(t *testing.T) {
 	}
 	if got := TruncateAfter(x, 99); got[4] != 5 {
 		t.Error("TruncateAfter beyond length should copy everything")
+	}
+}
+
+// refinePeakSincTrig is refinePeakSinc as it was before its taps were
+// tabulated: the windowed sinc evaluated with math.Sin/math.Cos at every
+// tap. It is the reference the table must match bit for bit.
+func refinePeakSincTrig(x []float64, i0 int) float64 {
+	const half = 12
+	const steps = 128 // over the ±1 sample span
+	best, bestT := math.Abs(x[i0]), float64(i0)
+	for s := -steps / 2; s <= steps/2; s++ {
+		t := float64(i0) + 2*float64(s)/steps
+		v := 0.0
+		for j := i0 - half; j <= i0+half; j++ {
+			if j < 0 || j >= len(x) {
+				continue
+			}
+			d := t - float64(j)
+			var k float64
+			if d == 0 {
+				k = 1
+			} else {
+				k = math.Sin(math.Pi*d) / (math.Pi * d)
+			}
+			w := 0.5 * (1 + math.Cos(math.Pi*d/float64(half+1)))
+			v += x[j] * k * w
+		}
+		if a := math.Abs(v); a > best {
+			best, bestT = a, t
+		}
+	}
+	return bestT
+}
+
+// TestRefinePeakSincMatchesTrig checks the tabulated refiner against the
+// trig reference bit for bit: random signals of every length from 1 to
+// 400 (so shorter than the 25-tap kernel too), peaks at both edges, near
+// the kernel's half-width and at random, plus one long signal whose peak
+// index is past 65535. The random signals are mirror-symmetric about the
+// middle sample, so a centred i0 often sees two maxima of the interpolant
+// that are equal in exact arithmetic: which one wins then depends on the
+// last bit of every tap.
+func TestRefinePeakSincMatchesTrig(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	check := func(x []float64, i0 int) {
+		t.Helper()
+		got, want := refinePeakSinc(x, i0), refinePeakSincTrig(x, i0)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("len %d, i0 %d: table gives %v (%#x), trig %v (%#x)",
+				len(x), i0, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for n := 1; n <= 400; n++ {
+		x := make([]float64, n)
+		for i := range x[:(n+1)/2] {
+			x[i] = rng.NormFloat64()
+			x[n-1-i] = x[i]
+		}
+		for _, i0 := range []int{0, n - 1, 11, 12, 13, n / 2, rng.Intn(n), rng.Intn(n)} {
+			if i0 < n {
+				check(x, i0)
+			}
+		}
+	}
+	long := make([]float64, 70000)
+	for i := range long {
+		long[i] = rng.NormFloat64()
+	}
+	for _, i0 := range []int{65535, 65536, 69999, 65535 + rng.Intn(4000)} {
+		check(long, i0)
 	}
 }
