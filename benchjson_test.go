@@ -403,7 +403,7 @@ func measureSceneKernel(name string) (testing.BenchmarkResult, bool) {
 	switch name {
 	case "stream/scene-4src-order2", "stream/scene-8src-order2":
 		// Sources-per-session scaling: one scene hop, 4 or 8 sources, each
-		// with a direct path plus 16 order-2 image arrivals.
+		// with a direct path plus 12 order-2 image arrivals.
 		n := 4
 		if name == "stream/scene-8src-order2" {
 			n = 8

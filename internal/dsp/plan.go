@@ -157,6 +157,16 @@ func chirpSpectrum(chirp []complex128, m int, conjugate bool) []complex128 {
 // Size returns the transform length the plan was built for.
 func (p *Plan) Size() int { return p.n }
 
+// Root returns the forward root of unity exp(-2πik/n), 0 <= k < n, read
+// from the twiddle table: tw holds the first half and the second half is
+// its negation. Power-of-two sizes n >= 2 only.
+func (p *Plan) Root(k int) complex128 {
+	if h := len(p.tw); k >= h {
+		return -p.tw[k-h]
+	}
+	return p.tw[k]
+}
+
 // Forward computes the in-place forward DFT of x. len(x) must equal the
 // plan size.
 func (p *Plan) Forward(x []complex128) { p.transform(x, false) }

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -36,6 +37,20 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		for i := range x {
 			if cmplx.Abs(back[i]-x[i]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d: roundtrip mismatch at %d", n, i)
+			}
+		}
+	}
+}
+
+// TestPlanRootMatchesExp pins Root across the whole circle, both halves of
+// the twiddle table included.
+func TestPlanRootMatchesExp(t *testing.T) {
+	for _, n := range []int{2, 8, 2048} {
+		p := PlanFFT(n)
+		for k := 0; k < n; k++ {
+			want := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
+			if got := p.Root(k); cmplx.Abs(got-want) > 1e-15 {
+				t.Fatalf("n=%d: Root(%d) = %v, want %v", n, k, got, want)
 			}
 		}
 	}

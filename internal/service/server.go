@@ -313,6 +313,11 @@ const (
 	CodeUnprocessable   = "unprocessable"
 	CodeNoRoute         = "no_route"
 	CodeInternal        = "internal"
+	// A ?scene= past one of the scene limits (see renderSceneOptions).
+	CodeSceneSources  = "scene_sources"
+	CodeSceneOrder    = "scene_order"
+	CodeSceneRoomSize = "scene_room_size"
+	CodeSceneDistance = "scene_distance"
 )
 
 // defaultErrCode maps a status to a generic code for call sites without a

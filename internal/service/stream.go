@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -246,10 +247,45 @@ type SceneSourceDesc struct {
 	Gain       float64 `json:"gain,omitempty"`
 }
 
+// Scene limits. A scene's engine memory grows with its sources and with
+// the room's delay headroom, (maxOrder+2)·(width+depth) + 2·distance
+// metres of sound travel; DESIGN.md ("Scenes") gives the bytes of the
+// largest accepted scene.
+const (
+	maxSceneSources = 8
+	maxSceneOrder   = 3
+	maxSceneMetres  = 20 // room width and depth, source distance
+)
+
+// sceneLimit reports the first scene limit desc exceeds as an error code
+// and message ("" when it is within every limit). Each bound is written so
+// that NaN fails it.
+func sceneLimit(desc SceneDesc) (code, msg string) {
+	if n := len(desc.Sources); n > maxSceneSources {
+		return CodeSceneSources, fmt.Sprintf("scene has %d sources, at most %d", n, maxSceneSources)
+	}
+	if rm := desc.Room; rm != nil {
+		if rm.MaxOrder < 0 || rm.MaxOrder > maxSceneOrder {
+			return CodeSceneOrder, fmt.Sprintf("room maxOrder %d outside [0, %d]", rm.MaxOrder, maxSceneOrder)
+		}
+		if !(rm.Width >= 0 && rm.Width <= maxSceneMetres && rm.Depth >= 0 && rm.Depth <= maxSceneMetres) {
+			return CodeSceneRoomSize, fmt.Sprintf("room %gx%g m outside [0, %d] m", rm.Width, rm.Depth, maxSceneMetres)
+		}
+	}
+	for i, src := range desc.Sources {
+		// Zero or negative distances select the 2 m default.
+		if !(src.Distance <= maxSceneMetres) {
+			return CodeSceneDistance, fmt.Sprintf("source %d distance %g m beyond %d m", i, src.Distance, maxSceneMetres)
+		}
+	}
+	return "", ""
+}
+
 // renderSceneOptions reads a render session's layout from the query:
 // "scene" (SceneDesc JSON) or else "source" (one free-field source,
-// default 90°). It reports 400 itself; ok is false when the caller should
-// stop. kind is the session's metric label, "scene" or "render".
+// default 90°). It reports 400, and 422 for a scene past the scene
+// limits, itself; ok is false when the caller should stop. kind is the
+// session's metric label, "scene" or "render".
 func renderSceneOptions(w http.ResponseWriter, r *http.Request) (opt stream.SceneOptions, kind string, ok bool) {
 	sceneQ := r.URL.Query().Get("scene")
 	if sceneQ == "" {
@@ -260,6 +296,10 @@ func renderSceneOptions(w http.ResponseWriter, r *http.Request) (opt stream.Scen
 	var desc SceneDesc
 	if err := json.Unmarshal([]byte(sceneQ), &desc); err != nil {
 		httpError(w, http.StatusBadRequest, "bad scene description: %v", err)
+		return opt, "", false
+	}
+	if code, msg := sceneLimit(desc); code != "" {
+		httpErrorCode(w, http.StatusUnprocessableEntity, code, "scene: %s", msg)
 		return opt, "", false
 	}
 	if desc.Room != nil {

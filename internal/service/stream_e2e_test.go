@@ -428,6 +428,13 @@ func TestStreamSceneRejectsBadScenes(t *testing.T) {
 	}); !isStatus(err, 422) {
 		t.Errorf("scene with origin outside room: %v, want 422", err)
 	}
+	// A scene past a limit answers 422 with the limit's code.
+	if _, err := client.StreamRenderScene(ctx, "vol1", SceneDesc{
+		Room:    &SceneRoom{Width: 1e19, Depth: 5, OriginX: 2, OriginY: 1, Absorption: 0.45, MaxOrder: 2},
+		Sources: []SceneSourceDesc{{BearingDeg: 90}},
+	}); !isStatus(err, 422) || err.(*APIError).Code != CodeSceneRoomSize {
+		t.Errorf("scene in a 1e19 m room: %v, want 422 %s", err, CodeSceneRoomSize)
+	}
 	// Malformed ?scene= JSON never leaves the client helper, so hit the
 	// endpoint directly.
 	if _, _, err := client.openStream(ctx, "/v1/stream/render/vol1?scene=notjson"); !isStatus(err, 400) {

@@ -109,8 +109,8 @@ func benchSceneHop(b *testing.B, n int) {
 }
 
 // BenchmarkScene4SrcOrder2 / 8SrcOrder2 measure the sources-per-session
-// scaling of one scene hop (direct path + 16 image arrivals per source at
-// order 2, one input FFT per source per block).
+// scaling of one scene hop (direct path + 12 image arrivals per source at
+// order 2; per source per block one input FFT and two slot IFFTs).
 func BenchmarkScene4SrcOrder2(b *testing.B) { benchSceneHop(b, 4) }
 func BenchmarkScene8SrcOrder2(b *testing.B) { benchSceneHop(b, 8) }
 

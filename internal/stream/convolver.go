@@ -28,9 +28,9 @@ type ConvolverOptions struct {
 	// backs up into the pending bound.
 	MaxPending int
 	// DelayHeadroom is the largest Arrival.DelaySamples SetArrivals will
-	// accept (default 0: direct arrivals only). It sizes the output
-	// accumulators and extends the stream tail, so scenes pass the
-	// worst-case image-source delay for their room here.
+	// accept (default 0: direct arrivals only). It sizes the delay line
+	// and the output accumulators and extends the stream tail, so scenes
+	// pass the worst-case image-source delay for their room here.
 	DelayHeadroom int
 }
 
@@ -71,14 +71,25 @@ func FoldIntoSpan(angleDeg float64, t *hrtf.Table) (deg float64, swapEars bool) 
 }
 
 // Convolver renders a mono stream into binaural audio one chunk at a time:
-// block overlap-add convolution against per-angle far-field HRIR spectra.
+// block convolution of 50%-overlapped Bartlett-windowed blocks against
+// per-angle far-field HRIR spectra, through a frequency-domain delay line.
+//
+// Output is organized in slots, one per block: slot m starts where block m
+// does and is emitted by one inverse FFT per ear once block m has been
+// transformed. An arrival delayed by D = q·hop + r samples (0 <= r < hop)
+// renders block m into slot m+q, shifted by r inside the slot's transform
+// by the linear-phase ramp e^{-2πi·f·r/N}. The arrival set is folded into
+// one filter spectrum per (q, ear) — gain × HRTF spectrum × ramp, summed
+// over the arrivals that share a q — so a block costs one forward FFT, one
+// multiply-accumulate per filter and two inverse FFTs however many
+// arrivals it carries. Impulse responses longer than one transform split
+// into uniform partitions a whole number of hops long, each an extra
+// delay of k·P on the same grouping.
+//
 // For the common short-IR case the spectra are the ones cached on the
 // hrtf.Table itself (computed once per table, shared by every convolver and
-// AoA query); impulse responses longer than one FFT block fall back to
-// uniformly partitioned convolution with per-partition spectra built at
-// construction. Either way the steady-state Push/Read hot path performs no
-// allocations — scratch buffers are preallocated and FFTs run through the
-// dsp plan cache.
+// AoA query). The steady-state Push/Read hot path performs no allocations —
+// buffers are preallocated and FFTs run through the dsp plan cache.
 //
 // A Convolver is single-goroutine; Scene adds locking, pose state and the
 // source mix.
@@ -87,8 +98,8 @@ type Convolver struct {
 	block   int // B: windowed block length
 	hop     int // B/2: block advance
 	irLen   int // longest far-field IR accommodated (fixed at construction)
-	fftSize int // N: transform length, >= block+partition-1
-	part    int // P: partition length (N - B + 1)
+	fftSize int // N: transform length, >= B + min(P, irLen) - 1 + largest remainder
+	part    int // P: partition length (irLen when K == 1, else a multiple of hop)
 	nParts  int // K: ceil(irLen / P)
 
 	win  []float64
@@ -105,6 +116,16 @@ type Convolver struct {
 	one      [1]Arrival
 	maxDelay int // largest DelaySamples SetArrivals accepts
 
+	// Delay line. taps holds the arrival set folded into filters, rebuilt
+	// from arrivals when the next block forms after SetArrivals (stale).
+	// slots is a ring of per-ear spectral accumulators, two per slot, and
+	// head is the ring position of the slot the next block completes.
+	taps     []tap
+	stale    bool
+	rebuilds uint64 // tap rebuilds (read by TestSetPoseBurstRebuildsOnce)
+	slots    []slot
+	head     int
+
 	// stream positions, all in absolute sample indices.
 	pos      int  // start of the next block to process (first is -hop)
 	inEnd    int  // total input samples accepted
@@ -117,8 +138,8 @@ type Convolver struct {
 	pendStart int
 	pendLen   int
 
-	// output accumulators, origin at emitted; accValid counts the entries
-	// that may be nonzero.
+	// time-domain output accumulators, origin at emitted; accValid counts
+	// the entries that may be nonzero.
 	accL, accR []float64
 	accValid   int
 
@@ -130,15 +151,34 @@ type Convolver struct {
 	overruns uint64 // input samples dropped at the pending bound
 }
 
+// tap is one delay-line filter: the sum over the arrivals (and IR
+// partitions) whose delay falls in slot offset q, for one output ear.
+type tap struct {
+	q, ear int
+	// ext is how many samples past the slot start its products reach:
+	// the largest remainder r plus the partition's convolution span.
+	ext int
+	// spec is the filter spectrum: buf, or — for a lone unit-gain arrival
+	// on a whole hop — the table's HRTF spectrum itself, so the free-field
+	// render keeps the bits of a plain block convolution.
+	spec []complex128
+	buf  []complex128 // owned storage, kept across rebuilds
+}
+
+// slot is one ear's spectral accumulator for one output slot.
+type slot struct {
+	spec []complex128
+	ext  int // samples its products reach past the slot start; 0 while empty
+}
+
 // workspace is the per-block FFT scratch a convolver renders through.
 // Convolvers are single-goroutine, so convolvers driven strictly
 // sequentially — a Scene's sources under the scene lock — share one
-// workspace instead of each holding fftSize floats and 2·fftSize
-// complexes; standalone convolvers own theirs.
+// workspace instead of each holding fftSize floats and complexes;
+// standalone convolvers own theirs.
 type workspace struct {
-	padded  []float64
-	freqX   []complex128
-	freqEar []complex128
+	padded []float64
+	freqX  []complex128
 }
 
 // ensure grows the workspace to serve transforms of length fftSize.
@@ -146,7 +186,6 @@ func (w *workspace) ensure(fftSize int) {
 	if len(w.padded) < fftSize {
 		w.padded = make([]float64, fftSize)
 		w.freqX = make([]complex128, fftSize)
-		w.freqEar = make([]complex128, fftSize)
 	}
 }
 
@@ -196,14 +235,22 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 	deg, _ := FoldIntoSpan(90, t)
 	c.one[0] = Arrival{AngleDeg: deg, Gain: 1}
 	c.arrivals = c.one[:]
+	c.stale = true
 	// Transform length: at least double the block so a partition is never
 	// shorter than the block itself, stretched further while the whole IR
-	// still fits in one partition (the K == 1 fast path).
+	// still fits in one partition (the K == 1 fast path). A product shifted
+	// by its sub-hop remainder r must not wrap: B + P - 1 + r <= N.
+	rmax := min(c.hop-1, c.maxDelay)
 	c.fftSize = dsp.NextPow2(2 * block)
-	if n := dsp.NextPow2(block + irLen - 1); n > c.fftSize && irLen <= 4*block {
+	if n := dsp.NextPow2(block + irLen - 1 + rmax); n > c.fftSize && irLen <= 4*block {
 		c.fftSize = n
 	}
-	c.part = c.fftSize - block + 1
+	c.part = irLen
+	if block+irLen-1+rmax > c.fftSize {
+		// Partitions start a whole number of hops apart, so partition k
+		// keeps its arrival's remainder and lands k·P/hop slots later.
+		c.part = (c.fftSize - block + 1 - rmax) / c.hop * c.hop
+	}
 	c.nParts = (irLen + c.part - 1) / c.part
 	c.plan = dsp.PlanFFT(c.fftSize)
 	if err := c.loadSpectra(t); err != nil {
@@ -213,6 +260,14 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 	accCap := maxPending + block + irLen + c.maxDelay
 	c.accL = make([]float64, accCap)
 	c.accR = make([]float64, accCap)
+	// One ring position per slot offset a delay plus the last partition
+	// can reach.
+	nSlots := (c.maxDelay+(c.nParts-1)*c.part)/c.hop + 1
+	ring := make([]complex128, 2*nSlots*c.fftSize)
+	c.slots = make([]slot, 2*nSlots)
+	for i := range c.slots {
+		c.slots[i].spec = ring[i*c.fftSize : (i+1)*c.fftSize]
+	}
 	if ws == nil {
 		ws = &workspace{}
 	}
@@ -278,8 +333,9 @@ func (c *Convolver) loadSpectra(t *hrtf.Table) error {
 // renders one unit-gain arrival from 90°. Angles must already be folded
 // into the table span (FoldIntoSpan). Delays are whole samples in
 // [0, DelayHeadroom]; an arrival outside that range is an error and
-// leaves the previous set in place. The block's input FFT is computed
-// once and reused across all arrivals.
+// leaves the previous set in place. The delay-line filters are rebuilt
+// when the next block forms, so any number of calls between two blocks
+// costs one rebuild.
 func (c *Convolver) SetArrivals(arr []Arrival) error {
 	if len(arr) == 0 {
 		return errors.New("stream: empty arrival set")
@@ -289,6 +345,7 @@ func (c *Convolver) SetArrivals(arr []Arrival) error {
 			return fmt.Errorf("stream: arrival delay %d outside [0, %d] headroom", a.DelaySamples, c.maxDelay)
 		}
 	}
+	c.stale = true
 	if len(arr) == 1 {
 		c.one[0] = arr[0]
 		c.arrivals = c.one[:]
@@ -413,6 +470,13 @@ func (c *Convolver) process() {
 		}
 		c.processBlock()
 		c.pos += c.hop
+		if c.flushed && c.pos >= c.inEnd {
+			// That was the last block: every slot still holding products
+			// is final.
+			for q := 0; q < len(c.slots)/2-1; q++ {
+				c.emitSlot(c.pos + q*c.hop - c.emitted)
+			}
+		}
 		// Input before the next block start is never needed again.
 		if drop := c.pos - c.pendStart; drop > 0 {
 			drop = min(drop, c.pendLen)
@@ -424,13 +488,13 @@ func (c *Convolver) process() {
 	}
 }
 
-// processBlock windows the block at c.pos, transforms it once, and
-// accumulates the per-partition products for both ears of every arrival.
-// The single input FFT is the block-sharing core: a source in an order-2
-// room renders 13 arrivals (direct + 12 images) off one transform.
+// processBlock windows the block at c.pos, transforms it once,
+// multiply-accumulates that spectrum through every tap into its slot, and
+// emits the block's own slot, which no later block can reach.
 func (c *Convolver) processBlock() {
 	c.blocks++
-	padded := c.ws.padded[:c.fftSize]
+	n := c.fftSize
+	padded := c.ws.padded[:n]
 	// Window the block; samples outside [pendStart, pendStart+pendLen)
 	// (before the stream start or past its end) are zero.
 	for i := 0; i < c.block; i++ {
@@ -441,71 +505,131 @@ func (c *Convolver) processBlock() {
 		}
 		padded[i] = v
 	}
-	for i := c.block; i < c.fftSize; i++ {
+	for i := c.block; i < n; i++ {
 		padded[i] = 0
 	}
+	x := c.ws.freqX[:n]
+	c.plan.ForwardReal(x, padded)
 
-	c.plan.ForwardReal(c.ws.freqX[:c.fftSize], padded)
-	maxArrDelay := 0
-	for _, a := range c.arrivals {
-		idx := c.angleIndex(a.AngleDeg)
-		accL, accR := c.accL, c.accR
-		if a.SwapEars {
-			accL, accR = accR, accL
-		}
-		c.accumulateEar(c.specL[idx], accL, a.Gain, a.DelaySamples)
-		c.accumulateEar(c.specR[idx], accR, a.Gain, a.DelaySamples)
-		if a.DelaySamples > maxArrDelay {
-			maxArrDelay = a.DelaySamples
-		}
+	if c.stale {
+		c.buildTaps()
 	}
+	nSlots := len(c.slots) / 2
+	for i := range c.taps {
+		t := &c.taps[i]
+		p := c.head + t.q
+		if p >= nSlots {
+			p -= nSlots
+		}
+		s := &c.slots[2*p+t.ear]
+		h, acc := t.spec[:n], s.spec[:n]
+		if s.ext == 0 {
+			// A slot's first product is stored, not added to zeros.
+			for f := range acc {
+				acc[f] = x[f] * h[f]
+			}
+		} else {
+			for f := range acc {
+				acc[f] += x[f] * h[f]
+			}
+		}
+		s.ext = max(s.ext, t.ext)
+	}
+	c.emitSlot(c.pos - c.emitted)
+}
 
-	if end := c.pos + c.block + c.irLen + maxArrDelay - 1 - c.emitted; end > c.accValid {
-		c.accValid = end
+// emitSlot inverse-transforms the slot at the ring head, overlap-adds each
+// ear into the output accumulators at offset off (relative to emitted),
+// empties it and advances the head.
+func (c *Convolver) emitSlot(off int) {
+	for ear, acc := range [2][]float64{c.accL, c.accR} {
+		s := &c.slots[2*c.head+ear]
+		if s.ext == 0 {
+			continue
+		}
+		c.plan.Inverse(s.spec)
+		lo, hi := max(0, -off), min(s.ext, len(acc)-off)
+		for i := lo; i < hi; i++ {
+			acc[off+i] += real(s.spec[i])
+		}
+		c.accValid = max(c.accValid, off+s.ext)
+		s.ext = 0
+	}
+	if c.head++; c.head == len(c.slots)/2 {
+		c.head = 0
 	}
 }
 
-// accumulateEar adds one arrival's contribution for one ear: for each IR
-// partition k, IFFT(blockSpec × partSpec) scaled by gain and placed at
-// offset k·P + delay.
-func (c *Convolver) accumulateEar(parts [][]complex128, acc []float64, gain float64, delay int) {
-	base := c.pos - c.emitted + delay
-	freqX := c.ws.freqX[:c.fftSize]
-	freqEar := c.ws.freqEar[:c.fftSize]
-	for k, spec := range parts {
-		if spec == nil {
-			continue
+// buildTaps folds the arrival set into the delay line's filters. An
+// arrival's partition k sits at delay D = DelaySamples + k·P, so it feeds
+// slot offset q = D / hop through its ear's spectrum scaled by the gain and
+// shifted by the remainder r = D % hop; arrivals sharing (q, ear) sum into
+// one tap. Ears swap for mirrored arrivals.
+func (c *Convolver) buildTaps() {
+	c.stale = false
+	c.rebuilds++
+	c.taps = c.taps[:0]
+	for _, a := range c.arrivals {
+		idx := c.angleIndex(a.AngleDeg)
+		src := [2][][]complex128{c.specL[idx], c.specR[idx]}
+		if a.SwapEars {
+			src[0], src[1] = src[1], src[0]
 		}
-		for i := range freqEar {
-			freqEar[i] = freqX[i] * spec[i]
-		}
-		c.plan.Inverse(freqEar)
-		off := base + k*c.part
-		span := c.block + c.part - 1
-		if k == len(parts)-1 {
-			// The last partition may be short; its valid span is bounded
-			// by the overall tail.
-			if s := c.block + c.irLen - 1 - k*c.part; s < span {
-				span = s
-			}
-		}
-		if gain == 1 {
-			// The direct path's unit gain skips the multiply so the
-			// single-source stream stays bit-identical to the batch
-			// renderer (and slightly cheaper).
-			for i := 0; i < span; i++ {
-				j := off + i
-				if j >= 0 && j < len(acc) {
-					acc[j] += real(freqEar[i])
+		for ear, parts := range src {
+			for k, spec := range parts {
+				if spec == nil {
+					continue
 				}
+				d := a.DelaySamples + k*c.part
+				r := d % c.hop
+				span := c.block + min(c.part, c.irLen-k*c.part) - 1
+				c.addTap(d/c.hop, ear, spec, a.Gain, r, r+span)
 			}
-			continue
 		}
-		for i := 0; i < span; i++ {
-			j := off + i
-			if j >= 0 && j < len(acc) {
-				acc[j] += gain * real(freqEar[i])
-			}
+	}
+}
+
+// addTap adds gain × spec delayed by r samples into the (q, ear) tap.
+func (c *Convolver) addTap(q, ear int, spec []complex128, gain float64, r, ext int) {
+	var t *tap
+	for i := range c.taps {
+		if c.taps[i].q == q && c.taps[i].ear == ear {
+			t = &c.taps[i]
+			break
+		}
+	}
+	if t == nil {
+		// Reuse a previous rebuild's tap, and with it its buf.
+		if len(c.taps) < cap(c.taps) {
+			c.taps = c.taps[:len(c.taps)+1]
+		} else {
+			c.taps = append(c.taps, tap{})
+		}
+		t = &c.taps[len(c.taps)-1]
+		t.q, t.ear, t.ext, t.spec = q, ear, ext, nil
+		if gain == 1 && r == 0 {
+			t.spec = spec
+			return
+		}
+	}
+	t.ext = max(t.ext, ext)
+	if t.buf == nil {
+		t.buf = make([]complex128, c.fftSize)
+	}
+	switch {
+	case t.spec == nil:
+		clear(t.buf)
+	case &t.spec[0] != &t.buf[0]:
+		copy(t.buf, t.spec) // un-alias a table spectrum
+	}
+	t.spec = t.buf
+	// Bin f of a delay by r samples is e^{-2πi·f·r/N}: root (f·r mod N).
+	n, j := c.fftSize, 0
+	for f, h := range spec[:n] {
+		w := c.plan.Root(j)
+		t.buf[f] += complex(gain*real(w), gain*imag(w)) * h
+		if j += r; j >= n {
+			j -= n
 		}
 	}
 }

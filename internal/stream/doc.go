@@ -6,12 +6,13 @@
 //
 // Layers:
 //
-//   - Convolver: block overlap-save convolution of one input stream
-//     against a set of arrivals (angle, gain, delay, ear swap), using
-//     per-angle far-field HRIR spectra precomputed once per hrtf.Table
-//     (through the dsp plan cache), with click-free Bartlett crossfades
-//     on angle and profile switches. The steady-state hot path performs
-//     no allocations.
+//   - Convolver: block convolution of one input stream against a set of
+//     arrivals (angle, gain, delay, ear swap) through a frequency-domain
+//     delay line — one forward FFT and two inverse FFTs per block however
+//     many arrivals — using per-angle far-field HRIR spectra precomputed
+//     once per hrtf.Table (through the dsp plan cache), with click-free
+//     Bartlett crossfades on angle and profile switches. The steady-state
+//     hot path performs no allocations.
 //   - Scene: the one render engine. N sources over one listener, each a
 //     convolver whose arrivals are its direct path plus optional room
 //     images, folded into the table span by head yaw with the ears

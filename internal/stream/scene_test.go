@@ -245,6 +245,43 @@ func TestSceneMirrorBearingSwapsEars(t *testing.T) {
 	}
 }
 
+// TestSceneZeroAllocSteadyState pins the room scene's hot path: with two
+// order-2 sources, a pose update, one hop in per source and one mixed hop
+// out allocate nothing, the delay-line filter rebuild included.
+func TestSceneZeroAllocSteadyState(t *testing.T) {
+	tab := testTable(t)
+	sc, err := stream.NewScene(tab, stream.SceneOptions{
+		Room:    testRoom(),
+		Sources: []stream.SceneSource{{BearingDeg: 40, Distance: 1.5}, {BearingDeg: 250, Distance: 2.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := sc.BlockSize() / 2
+	in := make([]float64, hop)
+	for i := range in {
+		in[i] = math.Sin(float64(i) * 0.01)
+	}
+	outL, outR := make([]float64, hop), make([]float64, hop)
+	yaw := 0.0
+	cycle := func() {
+		yaw += 7
+		sc.SetPose(yaw)
+		for i := 0; i < 2; i++ {
+			if _, err := sc.PushFrame(i, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc.ReadFrame(outL, outR)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("steady-state SetPose+PushFrame+ReadFrame allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
 // TestSceneRace exercises concurrent per-source producers, a consumer,
 // and pose/bearing updates under the race detector.
 func TestSceneRace(t *testing.T) {
