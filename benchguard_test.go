@@ -15,9 +15,10 @@ const guardRegressionThreshold = 1.20
 
 // TestBenchRegressionGuard replays the committed bench.json kernels for
 // the FFT plans, the streaming engine (convolver and AoA tracker), the
-// sensor-fusion solve on both its exact and cascade paths, and the
-// whole-pipeline personalize records with their per-stage breakdown, and
-// fails on a >20% ns/op regression. Opt-in (it costs benchmark time):
+// gateway's profile-read relay, the sensor-fusion solve on both its exact
+// and cascade paths, and the whole-pipeline personalize records with
+// their per-stage breakdown, and fails on a >20% ns/op regression.
+// Opt-in (it costs benchmark time):
 //
 //	BENCH_GUARD=1 go test -run TestBenchRegressionGuard .
 //
@@ -43,6 +44,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 	for _, rec := range sum.Benchmarks {
 		if !strings.HasPrefix(rec.Name, "fft/planned/") &&
 			!strings.HasPrefix(rec.Name, "stream/") &&
+			!strings.HasPrefix(rec.Name, "gateway/") &&
 			!strings.HasPrefix(rec.Name, "store/") &&
 			!strings.HasPrefix(rec.Name, "fuseSensors") &&
 			!strings.HasPrefix(rec.Name, "personalize/") {

@@ -239,6 +239,10 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 				}
 			}
 		}), true
+	case strings.HasPrefix(name, "gateway/"):
+		// The uniqgw relay of a 2.5 MB profile read (see
+		// benchgateway_test.go).
+		return measureGatewayKernel(name)
 	case strings.HasPrefix(name, "store/"):
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
 		// cold reads, durable puts, bulk load.
@@ -571,6 +575,13 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	if bulk := ns["store/bulkload"]; bulk > 0 {
 		sum.Derived["storeBulkLoadProfilesPerSec"] = float64(storeBenchBulkBatch) / (bulk / 1e9)
+	}
+
+	// The gateway's profile-read relay, client to node over loopback.
+	if r, ok := measureKernel("gateway/profile-read"); ok {
+		add("gateway/profile-read", r)
+	} else {
+		t.Fatal("gateway/profile-read kernel failed to start")
 	}
 
 	if fast := ns["fuseSensors/fast"]; fast > 0 {

@@ -2,8 +2,9 @@
 // uniqd nodes: a consistent-hash ring that assigns every user-keyed route
 // to an owning backend, a node registry with active health probes and
 // per-node circuit breaking, and an HTTP gateway (cmd/uniqgw) that
-// forwards unary requests over the typed service client and relays the
-// full-duplex streaming routes verbatim.
+// forwards request and response bodies as bytes — it parses only a
+// submit's top-level user, job IDs and the profile-list fan-out — and
+// relays the full-duplex streaming routes verbatim.
 //
 // Sharding model: the ring hashes user identifiers (FNV-1a 64 over
 // "node#vnode" points and user keys), so a user's sessions, jobs,

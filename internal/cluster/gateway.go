@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -92,8 +94,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJob)
 	mux.HandleFunc("GET /v1/profiles", g.handleList)
 	mux.HandleFunc("GET /v1/profiles/{user}", g.handleProfile)
-	mux.HandleFunc("POST /v1/profiles/{user}/aoa", g.handleAoA)
-	mux.HandleFunc("POST /v1/profiles/{user}/render", g.handleRender)
+	mux.HandleFunc("POST /v1/profiles/{user}/aoa", g.handleProfilePost("aoa"))
+	mux.HandleFunc("POST /v1/profiles/{user}/render", g.handleProfilePost("render"))
 	mux.HandleFunc("POST /v1/stream/render/{user}", g.handleStream)
 	mux.HandleFunc("POST /v1/stream/aoa/{user}", g.handleStream)
 	mux.HandleFunc("GET /v1/cluster/nodes", g.handleNodes)
@@ -134,12 +136,15 @@ func (r *gwStatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWrite
 func (g *Gateway) instrument(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &gwStatusRecorder{ResponseWriter: w, code: http.StatusOK}
+		// Deferred, so a relay aborted mid-body (see relay) still counts.
+		defer func() {
+			route := r.Pattern
+			if route == "" {
+				route = "unmatched"
+			}
+			g.metrics.observeRequest(route, rec.code)
+		}()
 		next.ServeHTTP(rec, r)
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
-		}
-		g.metrics.observeRequest(route, rec.code)
 	})
 }
 
@@ -203,25 +208,67 @@ func (g *Gateway) report(n *Node, route string, took time.Duration, err error) {
 	g.metrics.observeRoute(n.Name, route, outcome, took)
 }
 
-// forward runs fn against key's candidate nodes in ring order. Transport
-// errors advance to the next candidate (the node may just be gone); an
-// HTTP-level response, error or not, is authoritative and stops the walk.
-func (g *Gateway) forward(route, key string, max int, fn func(n *Node) error) (*Node, error) {
+// answer is a node's 2xx reply whose body the handler has yet to read;
+// settle closes it.
+type answer struct {
+	node     *Node
+	resp     *http.Response
+	route    string
+	start    time.Time
+	fallback bool // a ring successor answered, not the key's owner
+}
+
+// forward sends r's method to key's candidate nodes in ring order, with
+// the upstream path, body bytes and headers given, and returns the first
+// 2xx answer. Transport errors advance to the next candidate (the node may
+// just be gone), resending the same bytes. An HTTP error answer stops the
+// walk, coming back as the *service.APIError, unless walkOn (nil: never)
+// says to try the successor.
+func (g *Gateway) forward(r *http.Request, key string, max int, path string, body []byte,
+	hdr http.Header, walkOn func(*service.APIError) bool) (*answer, error) {
 	nodes := g.reg.Pick(key, max)
 	if len(nodes) == 0 {
 		return nil, errNoNodes
 	}
 	var err error
-	for _, n := range nodes {
+	for i, n := range nodes {
 		start := time.Now()
-		err = fn(n)
-		g.report(n, route, time.Since(start), err)
+		var resp *http.Response
+		if resp, err = n.Client().Send(r.Context(), r.Method, path, body, hdr); err == nil {
+			return &answer{node: n, resp: resp, route: r.Pattern, start: start, fallback: i > 0}, nil
+		}
+		g.report(n, r.Pattern, time.Since(start), err)
 		var ae *service.APIError
-		if err == nil || errors.As(err, &ae) {
-			return n, err
+		if errors.As(err, &ae) && (walkOn == nil || !walkOn(ae)) {
+			return nil, err
 		}
 	}
 	return nil, err
+}
+
+// settle closes a's body and reports the exchange, timed to its last
+// byte; err is what cut the body short, if anything.
+func (g *Gateway) settle(a *answer, err error) {
+	a.resp.Body.Close()
+	g.report(a.node, a.route, time.Since(a.start), err)
+}
+
+// relay copies a 2xx answer to the caller — its status, Content-Type and
+// body, streamed as it arrives — and settles it. The status is committed
+// before the first body byte, so a node failing mid-body is charged for it
+// and the reply is aborted (http.ErrAbortHandler, as httputil.ReverseProxy
+// does): the caller sees a truncated response, never a short one that
+// looks whole.
+func (g *Gateway) relay(w http.ResponseWriter, a *answer) {
+	if ct := a.resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
+	}
+	w.WriteHeader(a.resp.StatusCode)
+	err := pipe(w, a.resp.Body, nil)
+	g.settle(a, err)
+	if err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 var errNoNodes = errors.New("cluster: no available node for key")
@@ -236,46 +283,111 @@ func writeForwardErr(w http.ResponseWriter, err error) {
 	writeUpstream(w, err)
 }
 
-// decodeBody mirrors uniqd's bounded JSON decode.
-func (g *Gateway) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+// checkUser answers 400 bad_user for a key the store would refuse, so a
+// crafted path value never reaches a node, let alone charges it.
+func checkUser(w http.ResponseWriter, user string) bool {
+	if service.ValidUser(user) {
+		return true
+	}
+	gwError(w, http.StatusBadRequest, service.CodeBadUser, "%v: %q", service.ErrBadUser, user)
+	return false
+}
+
+// readBody reads a unary request body whole, bounded by MaxBodyBytes and
+// presized from Content-Length when that fits, answering 413 itself. It
+// returns false when the caller should stop.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= g.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			gwError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
 		} else {
-			gwError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
+			gwError(w, http.StatusBadRequest, service.CodeBadRequest, "read body: %v", err)
 		}
-		return false
+		return nil, false
 	}
-	return true
+	return buf.Bytes(), true
 }
 
 // --- user-keyed unary routes ---
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	if !g.decodeBody(w, r, &req) {
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	var resp service.SubmitResponse
+	user, err := submitUser(body)
+	if err != nil {
+		gwError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
+		return
+	}
+	if !checkUser(w, user) {
+		return
+	}
 	// Transport-level failover is safe for submits: a node that never
 	// answered never accepted the job, so trying the successor cannot
-	// double-run a session.
-	node, err := g.forward(r.Pattern, req.User, g.reg.Len(), func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().SubmitJob(r.Context(), req.User, req.Input)
-		return ferr
-	})
+	// double-run a session. The node checks the header against the user it
+	// decodes.
+	a, err := g.forward(r, user, g.reg.Len(), "/v1/sessions", body,
+		http.Header{service.RoutedUserHeader: {user}}, nil)
 	if err != nil {
 		writeForwardErr(w, err)
 		return
 	}
+	var ack service.SubmitResponse
+	err = json.NewDecoder(a.resp.Body).Decode(&ack)
+	g.settle(a, err)
+	if err != nil {
+		gwError(w, http.StatusBadGateway, "node_unreachable", "read ack from %s: %v", a.node.Name, err)
+		return
+	}
 	// Qualify the job ID with the accepting node so polls route back to it
 	// without a global job table.
-	resp.JobID = resp.JobID + "@" + node.Name
-	resp.StatusURL = "/v1/jobs/" + resp.JobID
-	gwJSON(w, http.StatusAccepted, resp)
+	ack.JobID = ack.JobID + "@" + a.node.Name
+	ack.StatusURL = "/v1/jobs/" + ack.JobID
+	gwJSON(w, a.resp.StatusCode, ack)
+}
+
+// submitUser returns the routing key of a POST /v1/sessions body: the value
+// of its first top-level key that case-folds to "user", matched the way
+// encoding/json matches field names. It reads tokens only that far, so a
+// body that starts with its user costs a few bytes; the values of earlier
+// keys (a leading "input") are skipped whole. A body whose user is a
+// duplicate key under another case is caught by the node, which compares
+// RoutedUserHeader with the user it decodes.
+func submitUser(body []byte) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return "", errors.New("body is not a JSON object")
+	}
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return "", err
+		}
+		if key, _ := t.(string); strings.EqualFold(key, "user") {
+			if t, err = dec.Token(); err != nil {
+				return "", err
+			}
+			user, ok := t.(string)
+			if !ok {
+				return "", fmt.Errorf("user is %v, not a string", t)
+			}
+			return user, nil
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return "", err
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		return "", err
+	}
+	return "", nil
 }
 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -305,77 +417,49 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
 	user := r.PathValue("user")
-	nodes := g.reg.Pick(user, 1+g.cfg.ReadFallback)
-	if len(nodes) == 0 {
-		writeForwardErr(w, errNoNodes)
+	if !checkUser(w, user) {
 		return
 	}
-	var lastErr error
-	for i, n := range nodes {
-		start := time.Now()
-		p, err := n.Client().Profile(r.Context(), user)
-		g.report(n, r.Pattern, time.Since(start), err)
-		if err == nil {
-			w.Header().Set("Uniq-Served-By", n.Name)
-			if i > 0 {
-				// A successor answered: after a failover or rebalance this
-				// may be a stale copy — say so rather than hide it.
-				w.Header().Set("Uniq-Fallback", "true")
-				g.metrics.fallback.Inc()
-			}
-			gwJSON(w, http.StatusOK, p)
-			return
-		}
-		var ae *service.APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusBadRequest {
-			// Bad user IDs are bad everywhere; don't walk the ring.
-			writeUpstream(w, err)
-			return
-		}
-		// Not-found and 5xx both fall through to the successors: the owner
-		// may have just taken over an arc it never stored, while the
-		// previous owner still holds the profile.
-		lastErr = err
-	}
-	writeUpstream(w, lastErr)
-}
-
-func (g *Gateway) handleAoA(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	var req service.AoARequest
-	if !g.decodeBody(w, r, &req) {
-		return
-	}
-	var resp service.AoAResponse
-	_, err := g.forward(r.Pattern, user, 1+g.cfg.ReadFallback, func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().AoA(r.Context(), user, req)
-		return ferr
-	})
+	// Not-found and 5xx both walk on to the successors: the owner may have
+	// just taken over an arc it never stored, while the previous owner
+	// still holds the profile. A 400 is bad everywhere.
+	a, err := g.forward(r, user, 1+g.cfg.ReadFallback, "/v1/profiles/"+url.PathEscape(user), nil, nil,
+		func(ae *service.APIError) bool { return ae.StatusCode != http.StatusBadRequest })
 	if err != nil {
 		writeForwardErr(w, err)
 		return
 	}
-	gwJSON(w, http.StatusOK, resp)
+	w.Header().Set("Uniq-Served-By", a.node.Name)
+	if a.fallback {
+		// A successor answered: after a failover or rebalance this may be
+		// a stale copy — say so rather than hide it.
+		w.Header().Set("Uniq-Fallback", "true")
+		g.metrics.fallback.Inc()
+	}
+	g.relay(w, a)
 }
 
-func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	var req service.RenderRequest
-	if !g.decodeBody(w, r, &req) {
-		return
+// handleProfilePost forwards POST /v1/profiles/{user}/<op> (aoa, render):
+// the request body's bytes go to the key's owner, failing over like a
+// submit, and the node's answer is relayed.
+func (g *Gateway) handleProfilePost(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		user := r.PathValue("user")
+		if !checkUser(w, user) {
+			return
+		}
+		body, ok := g.readBody(w, r)
+		if !ok {
+			return
+		}
+		a, err := g.forward(r, user, 1+g.cfg.ReadFallback, "/v1/profiles/"+url.PathEscape(user)+"/"+op,
+			body, nil, nil)
+		if err != nil {
+			writeForwardErr(w, err)
+			return
+		}
+		g.relay(w, a)
 	}
-	var resp service.RenderResponse
-	_, err := g.forward(r.Pattern, user, 1+g.cfg.ReadFallback, func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().Render(r.Context(), user, req)
-		return ferr
-	})
-	if err != nil {
-		writeForwardErr(w, err)
-		return
-	}
-	gwJSON(w, http.StatusOK, resp)
 }
 
 // --- fan-out list ---

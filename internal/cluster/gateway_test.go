@@ -19,6 +19,7 @@ import (
 type fakeNode struct {
 	name     string
 	ts       *httptest.Server
+	requests atomic.Int64 // every request but health probes
 	submits  atomic.Int64
 	profiles atomic.Int64
 	// saturated flips /v1/sessions into 503 queue_full + Retry-After.
@@ -76,23 +77,37 @@ func newFakeNode(t *testing.T, name string, users ...string) *fakeNode {
 		}
 		json.NewEncoder(w).Encode(service.StoredProfile{User: r.PathValue("user"), JobID: "from-" + name})
 	})
-	f.ts = httptest.NewServer(mux)
+	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			f.requests.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.ts.Close)
 	return f
 }
 
 func newTestGateway(t *testing.T, fakes ...*fakeNode) (*Gateway, *httptest.Server) {
+	return newTestGatewayWith(t, nil, fakes...)
+}
+
+// newTestGatewayWith is newTestGateway with a hook to adjust the config.
+func newTestGatewayWith(t *testing.T, tune func(*GatewayConfig), fakes ...*fakeNode) (*Gateway, *httptest.Server) {
 	specs := make([]NodeSpec, len(fakes))
 	for i, f := range fakes {
 		specs[i] = NodeSpec{Name: f.name, BaseURL: f.ts.URL}
 	}
-	gw, err := NewGateway(GatewayConfig{
+	cfg := GatewayConfig{
 		Nodes:         specs,
 		VNodes:        64,
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 		EjectAfter:    2,
-	})
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	gw, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@ var streamRelayHeaders = []string{"Content-Type", "Uniq-Sample-Rate", "Retry-Aft
 // reconnects instead — by then the prober has moved the key.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	user := r.PathValue("user")
+	if !checkUser(w, user) {
+		return
+	}
 	nodes := g.reg.Pick(user, 1)
 	if len(nodes) == 0 {
 		writeForwardErr(w, errNoNodes)
@@ -37,7 +40,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 // counts against it.
 func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) string {
 	out, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		n.BaseURL+r.URL.Path+queryOf(r), r.Body)
+		n.BaseURL+r.URL.EscapedPath()+queryOf(r), r.Body)
 	if err != nil {
 		gwError(w, http.StatusInternalServerError, service.CodeInternal, "build upstream request: %v", err)
 		return outcomeTransport
@@ -90,24 +93,36 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	_ = rc.Flush()
 
 	// Flush per read so low-rate sessions (one AoA event at a time) see
-	// output promptly instead of when a buffer fills.
+	// output promptly instead of when a buffer fills. A mid-stream backend
+	// death is too late for a status change: the truncated body is the
+	// signal the caller sees.
+	if err := pipe(w, resp.Body, func() { _ = rc.Flush() }); err != nil {
+		g.reg.ReportFailure(n, err)
+		return outcomeTransport
+	}
+	return outcomeOK
+}
+
+// pipe copies src to w until src ends, calling flush (when set) after each
+// write. It returns the error that cut src short, or nil at EOF and when a
+// write fails: then the caller, not the node, went away.
+func pipe(w io.Writer, src io.Reader, flush func()) error {
 	buf := make([]byte, 32<<10)
 	for {
-		nr, rerr := resp.Body.Read(buf)
-		if nr > 0 {
-			if _, werr := w.Write(buf[:nr]); werr != nil {
-				return outcomeOK // caller went away; backend side already accounted
+		n, rerr := src.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return nil
 			}
-			_ = rc.Flush()
+			if flush != nil {
+				flush()
+			}
+		}
+		if errors.Is(rerr, io.EOF) {
+			return nil
 		}
 		if rerr != nil {
-			if !errors.Is(rerr, io.EOF) {
-				// Mid-stream backend death: too late for a status change, the
-				// truncated chunked body is the signal the caller sees.
-				g.reg.ReportFailure(n, rerr)
-				return outcomeTransport
-			}
-			return outcomeOK
+			return rerr
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -148,7 +149,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 	}
 	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, method, path, data, in != nil, out)
+		err := c.doOnce(ctx, method, path, data, out)
 		if err == nil || !c.Retry.enabled() || attempt >= c.Retry.MaxAttempts || !retryable(err) {
 			return err
 		}
@@ -163,26 +164,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, hasBody bool, out any) error {
-	var body io.Reader
-	if hasBody {
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return err
-	}
-	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http().Do(req)
+func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, out any) error {
+	resp, err := c.Send(ctx, method, path, data, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeAPIError(resp)
-	}
 	if out == nil {
 		return nil
 	}
@@ -190,6 +177,36 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, h
 		return fmt.Errorf("service: decode response: %w", err)
 	}
 	return nil
+}
+
+// Send runs one request, never retried, and returns a 2xx response for
+// the caller to read and close. A non-nil body is sent as is, labelled
+// application/json; hdr adds request headers. Any other status comes back
+// as an *APIError, the response already closed.
+func (c *Client) Send(ctx context.Context, method, path string, body []byte, hdr http.Header) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
+		return nil, decodeAPIError(resp)
+	}
+	return resp, nil
 }
 
 // Submit uploads a measurement session for user and returns the accepted
@@ -202,8 +219,8 @@ func (c *Client) Submit(ctx context.Context, user string, in core.SessionInput) 
 	return resp.JobID, nil
 }
 
-// SubmitJob is Submit returning the full acknowledgement (the gateway
-// forwards it to callers verbatim, job ID rewritten).
+// SubmitJob is Submit returning the full acknowledgement: the job's ID,
+// its state and the URL to poll.
 func (c *Client) SubmitJob(ctx context.Context, user string, in core.SessionInput) (SubmitResponse, error) {
 	var resp SubmitResponse
 	err := c.do(ctx, http.MethodPost, "/v1/sessions", SubmitRequest{User: user, Input: in}, &resp)
@@ -213,7 +230,7 @@ func (c *Client) SubmitJob(ctx context.Context, user string, in core.SessionInpu
 // Job fetches a job's status.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &st)
 	return st, err
 }
 
@@ -261,7 +278,7 @@ func (c *Client) WaitDone(ctx context.Context, id string, poll time.Duration) (J
 // Profile fetches a user's stored profile.
 func (c *Client) Profile(ctx context.Context, user string) (*StoredProfile, error) {
 	var p StoredProfile
-	if err := c.do(ctx, http.MethodGet, "/v1/profiles/"+user, nil, &p); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/profiles/"+url.PathEscape(user), nil, &p); err != nil {
 		return nil, err
 	}
 	return &p, nil
@@ -281,14 +298,14 @@ func (c *Client) Users(ctx context.Context) ([]string, error) {
 // AoA runs an angle-of-arrival query against a user's stored table.
 func (c *Client) AoA(ctx context.Context, user string, req AoARequest) (AoAResponse, error) {
 	var resp AoAResponse
-	err := c.do(ctx, http.MethodPost, "/v1/profiles/"+user+"/aoa", req, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/profiles/"+url.PathEscape(user)+"/aoa", req, &resp)
 	return resp, err
 }
 
 // Render asks the server for a short binaural render.
 func (c *Client) Render(ctx context.Context, user string, req RenderRequest) (RenderResponse, error) {
 	var resp RenderResponse
-	err := c.do(ctx, http.MethodPost, "/v1/profiles/"+user+"/render", req, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/profiles/"+url.PathEscape(user)+"/render", req, &resp)
 	return resp, err
 }
 

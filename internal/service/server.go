@@ -251,6 +251,13 @@ type SubmitRequest struct {
 	Input core.SessionInput `json:"input"`
 }
 
+// RoutedUserHeader carries, on a POST /v1/sessions a gateway forwards,
+// the user it routed the body by. The gateway reads only the first
+// top-level key that case-folds to "user", while encoding/json keeps the
+// last, so the node refuses a body whose decoded user differs: the job
+// would land on a node that does not own the profile it stores.
+const RoutedUserHeader = "Uniq-Routed-User"
+
 // SubmitResponse acknowledges an accepted session.
 type SubmitResponse struct {
 	JobID     string   `json:"jobId"`
@@ -395,6 +402,11 @@ func (s *Service) profileFor(w http.ResponseWriter, user string) *StoredProfile 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if routed := r.Header.Get(RoutedUserHeader); routed != "" && routed != req.User {
+		httpErrorCode(w, http.StatusBadRequest, CodeBadUser,
+			"%v: body user %q is not the routed user %q", ErrBadUser, req.User, routed)
 		return
 	}
 	st, err := s.pool.Submit(req.User, req.Input)
