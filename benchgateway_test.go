@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/hrtf"
 	"repro/internal/service"
 )
 
@@ -20,21 +18,8 @@ import (
 // one (181 angles, near- and far-field HRIR pairs of 170 taps, about
 // 2.5 MB), as the internal/cluster BenchmarkGatewayProfileRead serves it.
 func gatewayBenchProfile() ([]byte, error) {
-	rng := rand.New(rand.NewSource(1))
-	taps := func() []float64 {
-		h := make([]float64, 170)
-		for i := range h {
-			h[i] = 0.05 * rng.NormFloat64()
-		}
-		return h
-	}
-	tab := hrtf.NewTable(48000, 0, 1, 181)
-	for i := range tab.Near {
-		tab.Near[i] = hrtf.HRIR{Left: taps(), Right: taps(), SampleRate: 48000}
-		tab.Far[i] = hrtf.HRIR{Left: taps(), Right: taps(), SampleRate: 48000}
-	}
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(service.StoredProfile{User: "user-1", JobID: "j1", Table: tab})
+	err := json.NewEncoder(&buf).Encode(service.StoredProfile{User: "user-1", JobID: "j1", Table: realShapedBenchTable()})
 	return buf.Bytes(), err
 }
 

@@ -15,8 +15,9 @@ const guardRegressionThreshold = 1.20
 
 // TestBenchRegressionGuard replays the committed bench.json kernels for
 // the FFT plans, the streaming engine (convolver and AoA tracker), the
-// gateway's profile-read relay, the sensor-fusion solve on both its exact
-// and cascade paths, and the whole-pipeline personalize records with
+// gateway's profile-read relay, the profile store (its start-up scan
+// included) and the prior refit, the sensor-fusion solve on both its
+// exact and cascade paths, and the whole-pipeline personalize records with
 // their per-stage breakdown, and fails on a >20% ns/op regression.
 // Opt-in (it costs benchmark time):
 //
@@ -46,6 +47,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 			!strings.HasPrefix(rec.Name, "stream/") &&
 			!strings.HasPrefix(rec.Name, "gateway/") &&
 			!strings.HasPrefix(rec.Name, "store/") &&
+			!strings.HasPrefix(rec.Name, "prior/") &&
 			!strings.HasPrefix(rec.Name, "fuseSensors") &&
 			!strings.HasPrefix(rec.Name, "personalize/") {
 			continue

@@ -243,9 +243,10 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		// The uniqgw relay of a 2.5 MB profile read (see
 		// benchgateway_test.go).
 		return measureGatewayKernel(name)
-	case strings.HasPrefix(name, "store/"):
+	case strings.HasPrefix(name, "store/"), name == "prior/refit":
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
-		// cold reads, durable puts, bulk load.
+		// cold reads, durable puts, bulk load, the start-up scan, and the
+		// prior refit over the samples the records carry.
 		return measureStoreKernel(name)
 	case strings.HasPrefix(name, "personalize/workers="):
 		// Whole pipeline, coarse fusion, N internal workers (the
@@ -555,8 +556,9 @@ func TestEmitBenchJSON(t *testing.T) {
 
 	// Profile store: cache-bypassing cold reads and durable writes on the
 	// binary segment store. Disk footprint per profile rides on the
-	// records.
-	for _, name := range []string{"store/coldread", "store/put", "store/bulkload"} {
+	// records. Then what a node's start-up costs: the segment scan, and
+	// the prior refit from the samples the records carry.
+	for _, name := range []string{"store/coldread", "store/put", "store/bulkload", "store/open", "prior/refit"} {
 		r, ok := measureKernel(name)
 		if !ok {
 			t.Fatalf("unknown bench kernel %q", name)
@@ -565,7 +567,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	if segB, err := storeBenchFootprint(); err == nil {
 		for i := range sum.Benchmarks {
-			if strings.HasPrefix(sum.Benchmarks[i].Name, "store/") {
+			if n := sum.Benchmarks[i].Name; strings.HasPrefix(n, "store/") && n != "store/open" {
 				sum.Benchmarks[i].DiskBytesPerProfile = segB
 			}
 		}

@@ -2,22 +2,28 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/head"
 	"repro/internal/hrtf"
+	"repro/internal/prior"
 	"repro/internal/segstore"
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
 // Store bench shape: enough profiles that reads stride across records, a
 // realistic measured table per profile (smooth HRIRs — what the XOR codec
-// sees in production, not sparse synthetic impulses).
+// sees in production, not sparse synthetic impulses). A node's start-up
+// scan and prior refit are measured at their own sizes.
 const (
 	storeBenchProfiles  = 32
 	storeBenchBulkBatch = 64
+	storeOpenProfiles   = 64
+	priorRefitSamples   = 1000
 )
 
 // storeBenchTable memoizes one measured ground-truth table shared by every
@@ -46,6 +52,43 @@ func storeBenchProfile(user string, i int, tab *hrtf.Table) *segstore.Profile {
 		GestureOK:       true,
 		Table:           tab,
 	}
+}
+
+// realShapedBenchTable is a table the shape of a solved profile's: 181
+// angles, near- and far-field HRIR pairs of 170 noise-like taps, which
+// the XOR codec cannot shrink, so a profile is about 1 MB on disk — like
+// the profiles uniqbench seeds its nodes with.
+func realShapedBenchTable() *hrtf.Table {
+	rng := rand.New(rand.NewSource(1))
+	taps := func() []float64 {
+		h := make([]float64, 170)
+		for i := range h {
+			h[i] = 0.05 * rng.NormFloat64()
+		}
+		return h
+	}
+	tab := hrtf.NewTable(48000, 0, 1, 181)
+	for i := range tab.Near {
+		tab.Near[i] = hrtf.HRIR{Left: taps(), Right: taps(), SampleRate: 48000}
+		tab.Far[i] = hrtf.HRIR{Left: taps(), Right: taps(), SampleRate: 48000}
+	}
+	return tab
+}
+
+// fillServiceStore writes n profiles around tab through service.Store.Put,
+// so every record carries the prior sample a node writes, and closes it.
+func fillServiceStore(dir string, n int, tab *hrtf.Table) error {
+	st, err := service.OpenStoreWith(dir, 0, segstore.Options{NoSync: true, DisableCompaction: true})
+	if err != nil {
+		return err
+	}
+	for i, u := range storeBenchUsers(n) {
+		if err := st.Put(storeBenchProfile(u, i, tab)); err != nil {
+			st.Close()
+			return err
+		}
+	}
+	return st.Close()
 }
 
 func storeBenchUsers(n int) []string {
@@ -78,14 +121,73 @@ func openColdStore(dir string, n int) (*segstore.Store, []string, error) {
 	return st, users, nil
 }
 
-// measureStoreKernel handles the store/* bench.json kernels. Each one
-// measures the persistence layer with no LRU in front:
+// measureStoreKernel handles the store/* and prior/refit bench.json
+// kernels. Each one measures the persistence layer with no LRU in front:
 //
 //	store/coldread  indexed point read + binary decode per op
 //	store/put       one durable profile write (group-commit fsync path)
 //	store/bulkload  PutBatch of storeBenchBulkBatch profiles per op
+//	store/open      segstore.Open of storeOpenProfiles real-shaped
+//	                profiles: the scan and index build a node starts with
+//	prior/refit     the population-prior refit over priorRefitSamples
+//	                stored profiles: Store.PriorSamples (an index walk)
+//	                and prior.Fit, without persisting the model
 func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 	switch name {
+	case "store/open":
+		dir, err := os.MkdirTemp("", "benchstore")
+		if err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		defer os.RemoveAll(dir)
+		if err := fillServiceStore(dir, storeOpenProfiles, realShapedBenchTable()); err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := segstore.Open(dir, segstore.Options{ReadOnly: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Len() != storeOpenProfiles {
+					b.Fatalf("opened %d profiles, want %d", st.Len(), storeOpenProfiles)
+				}
+				st.Close()
+			}
+		}), true
+	case "prior/refit":
+		dir, err := os.MkdirTemp("", "benchstore")
+		if err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		defer os.RemoveAll(dir)
+		// The samples are a dozen floats whatever the table, so a small
+		// one keeps the set-up short.
+		small := hrtf.NewTable(48000, 0, 90, 3)
+		for i := range small.Far {
+			small.Far[i] = hrtf.HRIR{Left: []float64{1, 0.5, float64(i)}, Right: []float64{0.25, 1}, SampleRate: 48000}
+		}
+		if err := fillServiceStore(dir, priorRefitSamples, small); err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		st, err := service.OpenStoreWith(dir, 0, segstore.Options{ReadOnly: true})
+		if err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		defer st.Close()
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := prior.Fit(st.PriorSamples(), prior.FitOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Count != priorRefitSamples {
+					b.Fatalf("refit over %d samples, want %d", m.Count, priorRefitSamples)
+				}
+			}
+		}), true
 	case "store/coldread":
 		dir, err := os.MkdirTemp("", "benchstore")
 		if err != nil {
@@ -191,7 +293,7 @@ func TestStoreBenchKernelsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("store bench kernels build real stores; skipped in -short")
 	}
-	for _, name := range []string{"store/coldread", "store/put", "store/bulkload"} {
+	for _, name := range []string{"store/coldread", "store/put", "store/bulkload", "store/open", "prior/refit"} {
 		if _, ok := measureKernel(name); !ok {
 			t.Errorf("kernel %q did not measure", name)
 		}

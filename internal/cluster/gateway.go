@@ -187,8 +187,8 @@ func writeUpstream(w http.ResponseWriter, err error) {
 
 // report classifies one exchange for the breaker and metrics: any HTTP
 // response — success or error — proves the node alive; only transport
-// failures count against it.
-func (g *Gateway) report(n *Node, route string, took time.Duration, err error) {
+// failures count against it. ctx is the caller's request context.
+func (g *Gateway) report(ctx context.Context, n *Node, route string, took time.Duration, err error) {
 	outcome := outcomeOK
 	var ae *service.APIError
 	switch {
@@ -202,15 +202,27 @@ func (g *Gateway) report(n *Node, route string, took time.Duration, err error) {
 			outcome = outcomeUpstream4xx
 		}
 	default:
-		g.reg.ReportFailure(n, err)
-		outcome = outcomeTransport
+		outcome = g.failed(ctx, n, err)
 	}
 	g.metrics.observeRoute(n.Name, route, outcome, took)
+}
+
+// failed charges a transport failure to node n and returns its routing
+// outcome — unless the caller hung up: its request context ctx is done,
+// which cancels the upstream request, or a write to it failed. Then the
+// node is not at fault.
+func (g *Gateway) failed(ctx context.Context, n *Node, err error) string {
+	if ctx.Err() != nil || errors.Is(err, errCallerGone) {
+		return outcomeCanceled
+	}
+	g.reg.ReportFailure(n, err)
+	return outcomeTransport
 }
 
 // answer is a node's 2xx reply whose body the handler has yet to read;
 // settle closes it.
 type answer struct {
+	ctx      context.Context // the caller's request context
 	node     *Node
 	resp     *http.Response
 	route    string
@@ -235,9 +247,12 @@ func (g *Gateway) forward(r *http.Request, key string, max int, path string, bod
 		start := time.Now()
 		var resp *http.Response
 		if resp, err = n.Client().Send(r.Context(), r.Method, path, body, hdr); err == nil {
-			return &answer{node: n, resp: resp, route: r.Pattern, start: start, fallback: i > 0}, nil
+			return &answer{ctx: r.Context(), node: n, resp: resp, route: r.Pattern, start: start, fallback: i > 0}, nil
 		}
-		g.report(n, r.Pattern, time.Since(start), err)
+		g.report(r.Context(), n, r.Pattern, time.Since(start), err)
+		if r.Context().Err() != nil {
+			return nil, err // the caller hung up: no successor can help
+		}
 		var ae *service.APIError
 		if errors.As(err, &ae) && (walkOn == nil || !walkOn(ae)) {
 			return nil, err
@@ -250,7 +265,7 @@ func (g *Gateway) forward(r *http.Request, key string, max int, path string, bod
 // byte; err is what cut the body short, if anything.
 func (g *Gateway) settle(a *answer, err error) {
 	a.resp.Body.Close()
-	g.report(a.node, a.route, time.Since(a.start), err)
+	g.report(a.ctx, a.node, a.route, time.Since(a.start), err)
 }
 
 // relay copies a 2xx answer to the caller — its status, Content-Type and
@@ -406,7 +421,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	st, err := n.Client().Job(r.Context(), bare)
-	g.report(n, r.Pattern, time.Since(start), err)
+	g.report(r.Context(), n, r.Pattern, time.Since(start), err)
 	if err != nil {
 		writeUpstream(w, err)
 		return
@@ -482,7 +497,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			start := time.Now()
 			users, err := n.Client().Users(r.Context())
-			g.report(n, r.Pattern, time.Since(start), err)
+			g.report(r.Context(), n, r.Pattern, time.Since(start), err)
 			parts[i] = part{users: users, err: err}
 		}(i, n)
 	}

@@ -30,6 +30,9 @@ const (
 	outcomeUpstream4xx = "upstream_4xx"
 	outcomeUpstream5xx = "upstream_5xx"
 	outcomeTransport   = "transport_error"
+	// outcomeCanceled is an exchange cut short by the caller hanging up;
+	// it does not count against the node.
+	outcomeCanceled = "caller_canceled"
 )
 
 func newGatewayMetrics(reg *obs.Registry, r *Registry) *gatewayMetrics {

@@ -37,7 +37,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 // relayStream pipes one streaming exchange through to node n and returns
 // the routing outcome for metrics. Breaker accounting happens inline: a
 // response — any status — proves the node alive; a dial/transport failure
-// counts against it.
+// counts against it unless the caller hung up.
 func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) string {
 	out, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		n.BaseURL+r.URL.EscapedPath()+queryOf(r), r.Body)
@@ -56,9 +56,8 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	}
 	resp, err := client.Do(out)
 	if err != nil {
-		g.reg.ReportFailure(n, err)
 		gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
-		return outcomeTransport
+		return g.failed(r.Context(), n, err)
 	}
 	defer resp.Body.Close()
 	g.reg.ReportSuccess(n)
@@ -97,22 +96,25 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	// death is too late for a status change: the truncated body is the
 	// signal the caller sees.
 	if err := pipe(w, resp.Body, func() { _ = rc.Flush() }); err != nil {
-		g.reg.ReportFailure(n, err)
-		return outcomeTransport
+		return g.failed(r.Context(), n, err)
 	}
 	return outcomeOK
 }
 
+// errCallerGone cuts a relay short when a write to the caller fails: the
+// caller, not the node, went away.
+var errCallerGone = errors.New("cluster: caller went away")
+
 // pipe copies src to w until src ends, calling flush (when set) after each
-// write. It returns the error that cut src short, or nil at EOF and when a
-// write fails: then the caller, not the node, went away.
+// write. It returns nil at EOF, errCallerGone when a write fails, and
+// otherwise the error that cut src short.
 func pipe(w io.Writer, src io.Reader, flush func()) error {
 	buf := make([]byte, 32<<10)
 	for {
 		n, rerr := src.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return nil
+				return errCallerGone
 			}
 			if flush != nil {
 				flush()

@@ -11,6 +11,7 @@
 package prior
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -278,9 +279,9 @@ func (m *Model) PredictSpectrum(p head.Params) []float64 {
 // SpectralSignature reduces a solved table's far field to a compact
 // log-band-energy vector: the per-angle HRIR power spectra, averaged over
 // angles and ears, integrated into bands equal-width in bin space. It
-// transforms through one-shot FFTs rather than Table.FarSpectra so the
-// (often store-cached) table is not left holding full spectra. Returns nil
-// for an empty table or non-positive bands.
+// transforms through one FFT plan and two scratch buffers rather than
+// Table.FarSpectra, so the (often store-cached) table is not left holding
+// full spectra. Returns nil for an empty table or non-positive bands.
 func SpectralSignature(t *hrtf.Table, bands int) []float64 {
 	if t == nil || bands <= 0 {
 		return nil
@@ -290,6 +291,9 @@ func SpectralSignature(t *hrtf.Table, bands int) []float64 {
 		return nil
 	}
 	n := dsp.NextPow2(2 * irLen)
+	plan := dsp.PlanFFT(n)
+	padded := make([]float64, n)
+	spec := make([]complex128, n)
 	energy := make([]float64, bands)
 	half := n / 2
 	binsPer := float64(half) / float64(bands)
@@ -298,7 +302,8 @@ func SpectralSignature(t *hrtf.Table, bands int) []float64 {
 		if len(ir) == 0 {
 			return
 		}
-		spec := dsp.FFTReal(dsp.ZeroPad(ir, n))
+		clear(padded[copy(padded, ir):])
+		plan.ForwardReal(spec, padded)
 		for k := 0; k < half; k++ {
 			b := int(float64(k) / binsPer)
 			if b >= bands {
@@ -321,6 +326,50 @@ func SpectralSignature(t *hrtf.Table, bands int) []float64 {
 		out[b] = math.Log10(energy[b]/float64(count) + 1e-12)
 	}
 	return out
+}
+
+// sampleEncoding versions Sample's binary form.
+const sampleEncoding byte = 1
+
+// MarshalBinary encodes the sample compactly and losslessly: a format
+// byte, the head parameters and residual as IEEE-754 bits, then the
+// spectrum's length and values. The profile store keeps it beside each
+// profile, so a refit reads samples without decoding tables.
+func (s Sample) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, 1+4*8+binary.MaxVarintLen64+8*len(s.Spectrum))
+	b = append(b, sampleEncoding)
+	for _, v := range [4]float64{s.Params.A, s.Params.B, s.Params.C, s.ResidualDeg} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Spectrum)))
+	for _, v := range s.Spectrum {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes what MarshalBinary wrote, bit for bit. An empty
+// spectrum decodes as nil.
+func (s *Sample) UnmarshalBinary(b []byte) error {
+	if len(b) < 1+4*8 || b[0] != sampleEncoding {
+		return errors.New("prior: not an encoded sample")
+	}
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[1+8*i:])) }
+	out := Sample{Params: head.Params{A: f(0), B: f(1), C: f(2)}, ResidualDeg: f(3)}
+	rest := b[1+4*8:]
+	bands, n := binary.Uvarint(rest)
+	if n <= 0 || bands != uint64(len(rest)-n)/8 || (len(rest)-n)%8 != 0 {
+		return errors.New("prior: encoded sample spectrum length mismatch")
+	}
+	rest = rest[n:]
+	if bands > 0 {
+		out.Spectrum = make([]float64, bands)
+		for i := range out.Spectrum {
+			out.Spectrum[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		}
+	}
+	*s = out
+	return nil
 }
 
 // Save atomically persists the model next to the profile store: it stages

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/head"
+	"repro/internal/hrtf"
 	"repro/internal/sim"
 )
 
@@ -233,5 +235,92 @@ func TestSpectralSignature(t *testing.T) {
 	}
 	if SpectralSignature(nil, 8) != nil {
 		t.Error("nil table should give nil")
+	}
+}
+
+// refSpectralSignature is SpectralSignature as it was before it reused one
+// plan and two buffers: a fresh zero-padded copy and spectrum per HRIR.
+func refSpectralSignature(t *hrtf.Table, bands int) []float64 {
+	n := dsp.NextPow2(2 * t.MaxFarIRLen())
+	energy := make([]float64, bands)
+	half := n / 2
+	binsPer := float64(half) / float64(bands)
+	count := 0
+	for _, h := range t.Far {
+		for _, ir := range [][]float64{h.Left, h.Right} {
+			if len(ir) == 0 {
+				continue
+			}
+			spec := dsp.FFTReal(dsp.ZeroPad(ir, n))
+			for k := 0; k < half; k++ {
+				b := min(int(float64(k)/binsPer), bands-1)
+				re, im := real(spec[k]), imag(spec[k])
+				energy[b] += re*re + im*im
+			}
+			count++
+		}
+	}
+	out := make([]float64, bands)
+	for b := range out {
+		out[b] = math.Log10(energy[b]/float64(count) + 1e-12)
+	}
+	return out
+}
+
+// TestSpectralSignatureMatchesReference pins the buffer-reusing signature
+// to the per-HRIR-allocating one, bit for bit, on a table whose HRIRs have
+// different lengths (so a reused buffer must be re-zeroed past each one).
+func TestSpectralSignatureMatchesReference(t *testing.T) {
+	tab, err := sim.MeasureGroundTruthFar(sim.NewVolunteer(3, 11), 48000, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Far[1].Left = tab.Far[1].Left[:len(tab.Far[1].Left)/3]
+	tab.Far[2].Right = nil
+	for _, bands := range []int{1, 8, 13} {
+		got, want := SpectralSignature(tab, bands), refSpectralSignature(tab, bands)
+		for b := range want {
+			if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+				t.Fatalf("bands=%d: band %d = %v, reference %v", bands, b, got[b], want[b])
+			}
+		}
+	}
+}
+
+// TestSampleBinaryRoundTrip checks that an encoded sample decodes bit for
+// bit and that truncated or padded encodings are refused.
+func TestSampleBinaryRoundTrip(t *testing.T) {
+	for _, s := range []Sample{
+		{Params: head.Params{A: 0.1, B: math.Copysign(0, -1), C: math.Inf(1)}, ResidualDeg: math.NaN()},
+		{Params: head.Params{A: 0.0975, B: 0.08, C: 0.095}, ResidualDeg: 2.5, Spectrum: []float64{-3.25, 5e-324, 1}},
+	} {
+		b, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Sample
+		if err := got.UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+		want := []float64{s.Params.A, s.Params.B, s.Params.C, s.ResidualDeg}
+		have := []float64{got.Params.A, got.Params.B, got.Params.C, got.ResidualDeg}
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(have[i]) {
+				t.Fatalf("field %d: %v, want %v", i, have[i], want[i])
+			}
+		}
+		if len(got.Spectrum) != len(s.Spectrum) || (s.Spectrum == nil) != (got.Spectrum == nil) {
+			t.Fatalf("spectrum %v, want %v", got.Spectrum, s.Spectrum)
+		}
+		for i := range s.Spectrum {
+			if math.Float64bits(got.Spectrum[i]) != math.Float64bits(s.Spectrum[i]) {
+				t.Fatalf("spectrum[%d] = %v, want %v", i, got.Spectrum[i], s.Spectrum[i])
+			}
+		}
+		for _, bad := range [][]byte{nil, b[:len(b)-1], append(b[:len(b):len(b)], 0), append([]byte{2}, b[1:]...)} {
+			if err := new(Sample).UnmarshalBinary(bad); err == nil {
+				t.Errorf("malformed encoding %x accepted", bad)
+			}
+		}
 	}
 }

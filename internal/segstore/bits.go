@@ -1,6 +1,9 @@
 package segstore
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // bitWriter appends bits MSB-first into a byte slice. It backs the XOR
 // float compressor; the write path never fails.
@@ -41,22 +44,27 @@ type bitReader struct {
 }
 
 // readBits returns the next n bits as the low bits of a uint64. n <= 64.
+// It loads the big-endian 64-bit window at the current byte and, when the
+// n bits straddle its end, the top bits of the byte after it.
 func (r *bitReader) readBits(n uint) (uint64, error) {
 	if r.pos+n > uint(len(r.b))*8 {
 		return 0, errBitUnderflow
 	}
-	var v uint64
-	for n > 0 {
-		byteIdx := r.pos / 8
-		avail := 8 - r.pos%8
-		take := n
-		if take > avail {
-			take = avail
+	i, shift := r.pos/8, r.pos%8
+	var w uint64
+	if i+8 <= uint(len(r.b)) {
+		w = binary.BigEndian.Uint64(r.b[i:])
+		if shift+n > 64 {
+			// The bounds check above guarantees byte i+8 exists.
+			w = w<<shift | uint64(r.b[i+8])>>(8-shift)
+			shift = 0
 		}
-		chunk := (r.b[byteIdx] >> (avail - take)) & ((1 << take) - 1)
-		v = v<<take | uint64(chunk)
-		r.pos += take
-		n -= take
+	} else {
+		// Fewer than 8 bytes left: the n bits end inside them.
+		for j, c := range r.b[i:] {
+			w |= uint64(c) << (56 - 8*uint(j))
+		}
 	}
-	return v, nil
+	r.pos += n
+	return w << shift >> (64 - n), nil
 }

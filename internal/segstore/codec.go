@@ -10,12 +10,24 @@ import (
 )
 
 // Payload codec identity: every profile payload starts with this magic and
-// a format version, so a future codec revision can coexist with old
-// records in the same store.
+// a format version, so codec revisions coexist in one store. Version 2
+// adds the summary: an opaque, length-prefixed byte string between the
+// version and the profile body, which the store keeps in its index (see
+// Store.Summary) so a reader can learn what it needs about a profile
+// without decoding the body. Version 1 payloads (no summary) stay
+// readable.
+//
+//	v1: magic u32 │ version u16 = 1 │ body
+//	v2: magic u32 │ version u16 = 2 │ summary (uvarint length + bytes) │ body
 const (
-	payloadMagic   uint32 = 0x46505155 // "UQPF" little-endian
-	payloadVersion uint16 = 1
+	payloadMagic    uint32 = 0x46505155 // "UQPF" little-endian
+	payloadVersion1 uint16 = 1
+	payloadVersion  uint16 = 2
 )
+
+// maxSummaryLen bounds a payload summary: the index holds every live
+// record's summary in memory, so it must stay a few floats, not a table.
+const maxSummaryLen = 4096
 
 // profile payload flag bits.
 const (
@@ -123,21 +135,30 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// EncodeProfile serializes a profile into the versioned binary payload.
-// Every float travels as its exact IEEE-754 bits (raw or losslessly
-// XOR-compressed), so DecodeProfile round-trips bit-identically.
-func EncodeProfile(p *Profile) ([]byte, error) {
+// EncodeProfile serializes a profile into the versioned binary payload
+// with an empty summary. Every float travels as its exact IEEE-754 bits
+// (raw or losslessly XOR-compressed), so DecodeProfile round-trips
+// bit-identically.
+func EncodeProfile(p *Profile) ([]byte, error) { return encodePayload(p, nil) }
+
+// encodePayload serializes a profile behind the given summary.
+func encodePayload(p *Profile, summary []byte) ([]byte, error) {
 	if p == nil {
 		return nil, errors.New("segstore: nil profile")
 	}
+	if len(summary) > maxSummaryLen {
+		return nil, fmt.Errorf("segstore: summary of %d bytes exceeds %d", len(summary), maxSummaryLen)
+	}
 	// A rough size hint: taps dominate.
-	hint := 256
+	hint := 256 + len(summary)
 	if p.Table != nil {
 		hint += 9 * 8 * len(p.Table.Near) // guess; append grows as needed
 	}
 	b := make([]byte, 0, hint)
 	b = binary.LittleEndian.AppendUint32(b, payloadMagic)
 	b = binary.LittleEndian.AppendUint16(b, payloadVersion)
+	b = binary.AppendUvarint(b, uint64(len(summary)))
+	b = append(b, summary...)
 	b = appendStr(b, p.User)
 	b = appendStr(b, p.JobID)
 	b = binary.AppendVarint(b, p.CreatedUnixMS)
@@ -209,9 +230,10 @@ func appendHRIRs(b []byte, hs []hrtf.HRIR, tableRate float64) []byte {
 	return b
 }
 
-// DecodeProfile parses a payload written by EncodeProfile.
-func DecodeProfile(payload []byte) (*Profile, error) {
-	r := &byteReader{b: payload}
+// readPayloadHeader checks a payload's magic and version and returns its
+// summary (nil for version 1), leaving r at the start of the body. The
+// summary aliases the payload.
+func readPayloadHeader(r *byteReader) ([]byte, error) {
 	magic, err := r.u32()
 	if err != nil {
 		return nil, err
@@ -223,10 +245,43 @@ func DecodeProfile(payload []byte) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != payloadVersion {
+	switch version {
+	case payloadVersion1:
+		return nil, nil
+	case payloadVersion:
+	default:
 		return nil, fmt.Errorf("segstore: unsupported payload version %d", version)
 	}
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxSummaryLen {
+		return nil, fmt.Errorf("segstore: payload summary of %d bytes exceeds %d", n, maxSummaryLen)
+	}
+	return r.take(int(n))
+}
+
+// payloadSummary returns the summary of a profile payload without decoding
+// its body: nil for a version 1 payload, an empty summary, or a payload
+// whose header does not parse (DecodeProfile reports that one).
+func payloadSummary(payload []byte) []byte {
+	sum, err := readPayloadHeader(&byteReader{b: payload})
+	if err != nil || len(sum) == 0 {
+		return nil
+	}
+	return sum
+}
+
+// DecodeProfile parses a payload written by EncodeProfile (or by an older
+// version 1 codec), skipping its summary.
+func DecodeProfile(payload []byte) (*Profile, error) {
+	r := &byteReader{b: payload}
+	if _, err := readPayloadHeader(r); err != nil {
+		return nil, err
+	}
 	p := &Profile{}
+	var err error
 	if p.User, err = r.str(); err != nil {
 		return nil, err
 	}

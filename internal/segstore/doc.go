@@ -21,8 +21,8 @@
 // Records are never rewritten in place. A Put appends a new record whose
 // log sequence number (lsn) supersedes any older record for the same key;
 // a Delete appends a tombstone. The in-memory index maps key → (segment,
-// offset, length) of the winning record, so Get is one pread + decode and
-// Users is a pure index read. Background compaction rewrites segments
+// offset, length, summary) of the winning record, so Get is one pread +
+// decode, and Keys and Summary are pure index reads. Background compaction rewrites segments
 // whose dead-byte ratio crosses a threshold, reclaiming superseded
 // records.
 //
@@ -35,5 +35,8 @@
 // The profile payload codec (see codec.go) stores float64 taps losslessly
 // — XOR-compressed (Gorilla-style) when that wins, raw little-endian
 // otherwise — with delta-encoded per-angle tap-length metadata, so a
-// stored table round-trips bit-exactly.
+// stored table round-trips bit-exactly. A payload may open with a short
+// opaque summary (PutWithSummary) that Open and every write copy into the
+// index, so a caller can read what it keeps there about each profile
+// without decoding one.
 package segstore

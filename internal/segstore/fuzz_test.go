@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -10,8 +11,10 @@ import (
 )
 
 // FuzzProfileCodecRoundTrip feeds arbitrary bytes to DecodeProfile: it must
-// either reject them or return a profile that re-encodes losslessly. It
-// must never panic or allocate absurdly (the length guards are the defence).
+// either reject them or return a profile that re-encodes losslessly, behind
+// the same summary. It must never panic or allocate absurdly (the length
+// guards are the defence). Seeds cover v2 payloads with and without a
+// summary, v1 payloads, and v2 headers whose summary length is malformed.
 func FuzzProfileCodecRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3} {
 		payload, err := EncodeProfile(testProfile(fmt.Sprintf("seed%d", seed), 5, 16, seed))
@@ -22,12 +25,27 @@ func FuzzProfileCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x55, 0x51, 0x50, 0x46}) // magic only
+	small := testProfile("small", 2, 4, 4)
+	f.Add(encodeProfileV1(f, small))
+	f.Add(encodeProfileV1(f, &Profile{User: "v1-no-table"}))
+	withSummary, err := encodePayload(small, []byte("a summary"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withSummary)
+	head := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(nil, payloadMagic), payloadVersion)
+	body := encodeProfileV1(f, small)[6:]
+	for _, n := range []uint64{1 << 40, maxSummaryLen + 1, uint64(len(body) + 1)} {
+		f.Add(append(binary.AppendUvarint(bytes.Clone(head), n), body...)) // summary length beyond the bound or the payload
+	}
+	f.Add(append(bytes.Clone(head), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // varint overflow
 	f.Fuzz(func(t *testing.T, data []byte) {
+		summary := payloadSummary(data)
 		p, err := DecodeProfile(data)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		re, err := EncodeProfile(p)
+		re, err := encodePayload(p, summary)
 		if err != nil {
 			t.Fatalf("decoded profile failed to re-encode: %v", err)
 		}
@@ -37,6 +55,9 @@ func FuzzProfileCodecRoundTrip(f *testing.F) {
 		}
 		if p.User != p2.User || p.JobID != p2.JobID {
 			t.Fatal("round trip changed identity fields")
+		}
+		if !bytes.Equal(payloadSummary(re), summary) {
+			t.Fatalf("round trip changed the summary: %q vs %q", payloadSummary(re), summary)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Segment file identity.
@@ -159,27 +160,32 @@ type scanResult struct {
 	damage error
 }
 
-// scanSegment sequentially verifies a segment stream (positioned just past
+// scanBufSize is the scanner's read-ahead. Record headers are read from
+// it; a payload larger than it is read straight into the record buffer.
+const scanBufSize = 64 << 10
+
+// scanSegment sequentially verifies a segment body (r holds the bytes after
 // the header) and calls fn for each valid record with its offset and
-// framed size. Scanning stops at the first damaged record: a torn tail
-// from a crash, a flipped bit, or a chain break from stale blocks.
-func scanSegment(r io.Reader, startOffset int64, fn func(rec record, off, size int64) error) (scanResult, error) {
+// framed size. rec.payload aliases a buffer the next record reuses: fn must
+// copy whatever it keeps. Scanning stops at the first damaged record: a
+// torn tail from a crash, a flipped bit, or a chain break from stale
+// blocks.
+func scanSegment(r *io.SectionReader, startOffset int64, fn func(rec record, off, size int64) error) (scanResult, error) {
 	res := scanResult{goodEnd: startOffset, chain: chainSeed}
-	br := bufio.NewReaderSize(r, 1<<20)
-	var buf []byte
+	sc := recordScanner{br: bufio.NewReaderSize(r, scanBufSize), left: r.Size()}
 	for {
-		// Peek the fixed prefix first: a clean EOF here is the normal end.
-		head, err := br.Peek(5)
-		if err == io.EOF && len(head) == 0 {
+		// Peek first: a clean EOF here is the normal end.
+		if _, err := sc.br.Peek(1); err == io.EOF {
 			return res, nil
 		}
 		// From here on any failure — including EOF mid-record — is a torn
 		// tail to report, not a clean end.
-		rec, size, chain, err := readOneRecord(br, &buf, res.chain)
+		rec, chain, err := sc.next(res.chain)
 		if err != nil {
 			res.damage = err
 			return res, nil
 		}
+		size := int64(len(sc.buf))
 		if err := fn(rec, res.goodEnd, size); err != nil {
 			return res, err
 		}
@@ -191,112 +197,106 @@ func scanSegment(r io.Reader, startOffset int64, fn func(rec record, off, size i
 	}
 }
 
-// readOneRecord reads and verifies a single record from br. buf is reused
-// across calls. It returns the record, its framed size, and the new chain
-// state.
-func readOneRecord(br *bufio.Reader, buf *[]byte, prevChain uint64) (record, int64, uint64, error) {
-	var rec record
-	b := (*buf)[:0]
-	readN := func(n int) ([]byte, error) {
-		start := len(b)
-		for i := 0; i < n; i++ {
-			c, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("segstore: record truncated: %w", err)
-			}
-			b = append(b, c)
-		}
-		return b[start:], nil
-	}
-	readUvarint := func() (uint64, error) {
-		var v uint64
-		for shift := 0; ; shift += 7 {
-			if shift >= 64 {
-				return 0, errors.New("segstore: varint overflow")
-			}
-			c, err := br.ReadByte()
-			if err != nil {
-				return 0, fmt.Errorf("segstore: record truncated: %w", err)
-			}
-			b = append(b, c)
-			v |= uint64(c&0x7f) << shift
-			if c&0x80 == 0 {
-				return v, nil
-			}
-		}
-	}
+// recordScanner reads framed records in order from a segment body into one
+// reused buffer. Every read is bounded by the bytes the body still holds,
+// so a length field claiming more than the file has fails as a torn tail
+// before anything is allocated for it.
+type recordScanner struct {
+	br   *bufio.Reader
+	left int64  // body bytes not yet read
+	buf  []byte // the current record's framed bytes
+}
 
-	magicB, err := readN(4)
+// read appends the body's next n bytes to sc.buf.
+func (sc *recordScanner) read(n uint64) error {
+	if n > uint64(sc.left) {
+		return fmt.Errorf("segstore: record truncated: %d bytes wanted, %d left: %w", n, sc.left, io.ErrUnexpectedEOF)
+	}
+	start := len(sc.buf)
+	sc.buf = slices.Grow(sc.buf, int(n))[:start+int(n)]
+	got, err := io.ReadFull(sc.br, sc.buf[start:])
+	sc.left -= int64(got)
 	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+		sc.buf = sc.buf[:start+got]
+		return fmt.Errorf("segstore: record truncated: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(magicB); got != recMagic {
-		*buf = b
-		return rec, int64(len(b)), 0, fmt.Errorf("segstore: bad record magic %#x", got)
+	return nil
+}
+
+// uvarint reads one uvarint field.
+func (sc *recordScanner) uvarint() (uint64, error) {
+	var v uint64
+	for shift := 0; ; shift += 7 {
+		if shift >= 64 {
+			return 0, errors.New("segstore: varint overflow")
+		}
+		if err := sc.read(1); err != nil {
+			return 0, err
+		}
+		c := sc.buf[len(sc.buf)-1]
+		v |= uint64(c&0x7f) << shift
+		if c&0x80 == 0 {
+			return v, nil
+		}
 	}
-	kindB, err := readN(1)
+}
+
+// next reads and verifies one record, leaving its framed bytes in sc.buf.
+// It returns the record, whose payload aliases sc.buf, and the chain state
+// after it.
+func (sc *recordScanner) next(prevChain uint64) (record, uint64, error) {
+	var rec record
+	sc.buf = sc.buf[:0]
+	if err := sc.read(4); err != nil {
+		return rec, 0, err
+	}
+	if got := binary.LittleEndian.Uint32(sc.buf); got != recMagic {
+		return rec, 0, fmt.Errorf("segstore: bad record magic %#x", got)
+	}
+	if err := sc.read(1); err != nil {
+		return rec, 0, err
+	}
+	rec.kind = sc.buf[4]
+	var err error
+	if rec.lsn, err = sc.uvarint(); err != nil {
+		return rec, 0, err
+	}
+	keyLen, err := sc.uvarint()
 	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
-	}
-	rec.kind = kindB[0]
-	if rec.lsn, err = readUvarint(); err != nil {
-		*buf = b
-		return rec, 0, 0, err
-	}
-	keyLen, err := readUvarint()
-	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+		return rec, 0, err
 	}
 	if keyLen > maxKeyLen {
-		*buf = b
-		return rec, int64(len(b)), 0, fmt.Errorf("segstore: record key length %d exceeds limit", keyLen)
+		return rec, 0, fmt.Errorf("segstore: record key length %d exceeds limit", keyLen)
 	}
-	keyB, err := readN(int(keyLen))
-	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+	if err := sc.read(keyLen); err != nil {
+		return rec, 0, err
 	}
-	rec.key = string(keyB)
-	payloadLen, err := readUvarint()
+	rec.key = string(sc.buf[len(sc.buf)-int(keyLen):])
+	payloadLen, err := sc.uvarint()
 	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+		return rec, 0, err
 	}
 	if payloadLen > maxPayloadLen {
-		*buf = b
-		return rec, int64(len(b)), 0, fmt.Errorf("segstore: record payload length %d exceeds limit", payloadLen)
+		return rec, 0, fmt.Errorf("segstore: record payload length %d exceeds limit", payloadLen)
 	}
-	if rec.payload, err = readN(int(payloadLen)); err != nil {
-		*buf = b
-		return rec, 0, 0, err
+	if err := sc.read(payloadLen); err != nil {
+		return rec, 0, err
 	}
-	crcEnd := len(b)
-	crcB, err := readN(4)
-	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+	crcEnd := len(sc.buf)
+	rec.payload = sc.buf[crcEnd-int(payloadLen) : crcEnd]
+	if err := sc.read(4); err != nil {
+		return rec, 0, err
 	}
-	rec.crc = binary.LittleEndian.Uint32(crcB)
-	if got := crc32.Checksum(b[:crcEnd], crcTable); got != rec.crc {
-		*buf = b
-		return rec, int64(len(b)), 0, fmt.Errorf("segstore: record CRC mismatch (%#x vs %#x)", got, rec.crc)
+	rec.crc = binary.LittleEndian.Uint32(sc.buf[crcEnd:])
+	if got := crc32.Checksum(sc.buf[:crcEnd], crcTable); got != rec.crc {
+		return rec, 0, fmt.Errorf("segstore: record CRC mismatch (%#x vs %#x)", got, rec.crc)
 	}
-	chainB, err := readN(8)
-	if err != nil {
-		*buf = b
-		return rec, 0, 0, err
+	if err := sc.read(8); err != nil {
+		return rec, 0, err
 	}
 	wantChain := chainStep(prevChain, rec.crc)
-	if got := binary.LittleEndian.Uint64(chainB); got != wantChain {
-		*buf = b
-		return rec, int64(len(b)), 0, fmt.Errorf("segstore: record chain mismatch (%#x vs %#x)", got, wantChain)
+	if got := binary.LittleEndian.Uint64(sc.buf[crcEnd+4:]); got != wantChain {
+		return rec, 0, fmt.Errorf("segstore: record chain mismatch (%#x vs %#x)", got, wantChain)
 	}
-	// rec.payload aliases b, which the next call reuses: copy it out.
-	rec.payload = append([]byte(nil), rec.payload...)
-	size := int64(len(b))
-	*buf = b
-	return rec, size, wantChain, nil
+	return rec, wantChain, nil
 }

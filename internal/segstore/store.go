@@ -54,7 +54,8 @@ type recLoc struct {
 	off     int64 // byte offset of the framed record
 	size    int64 // framed record size
 	lsn     uint64
-	deleted bool // the winning record is a tombstone
+	deleted bool   // the winning record is a tombstone
+	summary string // the record's payload summary ("" for none)
 }
 
 // segment is one on-disk segment file.
@@ -360,11 +361,8 @@ func (s *Store) scanOne(id uint32) (*segment, *segScan, error) {
 	sr, err := scanSegment(io.NewSectionReader(f, segHeaderSize, seg.size.Load()-segHeaderSize), segHeaderSize,
 		func(rec record, off, size int64) error {
 			res.cands = append(res.cands, scanCandidate{
-				key: rec.key,
-				loc: recLoc{
-					seg: id, off: off, size: size, lsn: rec.lsn,
-					deleted: rec.kind == kindTombstone,
-				},
+				key:  rec.key,
+				loc:  newRecLoc(id, off, size, rec.lsn, rec.kind, rec.payload),
 				kind: rec.kind,
 			})
 			return nil
@@ -378,6 +376,16 @@ func (s *Store) scanOne(id uint32) (*segment, *segScan, error) {
 	res.maxLSN = sr.maxLSN
 	res.damage = sr.damage
 	return seg, res, nil
+}
+
+// newRecLoc builds the index entry for a record, copying its payload's
+// summary out of the payload so the entry keeps no reference to it.
+func newRecLoc(seg uint32, off, size int64, lsn uint64, kind byte, payload []byte) recLoc {
+	loc := recLoc{seg: seg, off: off, size: size, lsn: lsn, deleted: kind == kindTombstone}
+	if kind == kindProfile {
+		loc.summary = string(payloadSummary(payload))
+	}
+	return loc
 }
 
 func (s *Store) createSegment(id uint32) (*segment, error) {
@@ -410,12 +418,17 @@ func (s *Store) createSegment(id uint32) (*segment, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Put durably persists a profile under its User key (group-committed
-// unless Options.NoSync).
-func (s *Store) Put(p *Profile) error {
+// unless Options.NoSync), with an empty summary.
+func (s *Store) Put(p *Profile) error { return s.PutWithSummary(p, nil) }
+
+// PutWithSummary is Put with a summary: up to maxSummaryLen opaque bytes
+// stored at the head of the record's payload and kept in the in-memory
+// index, where Summary serves them without decoding the profile.
+func (s *Store) PutWithSummary(p *Profile, summary []byte) error {
 	if p == nil || p.User == "" {
 		return errors.New("segstore: profile needs a user key")
 	}
-	payload, err := EncodeProfile(p)
+	payload, err := encodePayload(p, summary)
 	if err != nil {
 		return err
 	}
@@ -538,10 +551,7 @@ func (s *Store) appendLocked(kind byte, key string, payload []byte, lsn uint64, 
 	s.active.size.Store(off + int64(len(buf)))
 	s.chain = chain
 	s.appendedSeq++
-	return recLoc{
-		seg: s.active.id, off: off, size: int64(len(buf)), lsn: lsn,
-		deleted: kind == kindTombstone,
-	}, s.appendedSeq, nil
+	return newRecLoc(s.active.id, off, int64(len(buf)), lsn, kind, payload), s.appendedSeq, nil
 }
 
 // rollLocked seals the active segment (fsync) and opens the next one.
@@ -680,6 +690,23 @@ func (s *Store) readRecord(key string) (record, error) {
 		}
 		// Lost a race with compaction relocating the record; re-resolve.
 	}
+}
+
+// Summary returns the summary stored with key's live record (nil when the
+// record has none, as version 1 payloads do) and the record's LSN, which
+// compaction preserves. ok is false when key has no live record. It is a
+// pure index read: no disk I/O, no decode.
+func (s *Store) Summary(key string) (summary []byte, lsn uint64, ok bool) {
+	s.mu.RLock()
+	loc, found := s.index[key]
+	s.mu.RUnlock()
+	if !found || loc.deleted {
+		return nil, 0, false
+	}
+	if loc.summary != "" {
+		summary = []byte(loc.summary)
+	}
+	return summary, loc.lsn, true
 }
 
 // Has reports whether a live record exists for key (pure index read).

@@ -15,6 +15,16 @@ import (
 // population prior. Small on purpose: the regression has three inputs.
 const priorSpectrumBands = 8
 
+// priorSampleOf is a profile's contribution to the population prior. Store
+// computes it once per Put and keeps it in the record's summary.
+func priorSampleOf(p *StoredProfile) prior.Sample {
+	return prior.Sample{
+		Params:      p.HeadParams,
+		ResidualDeg: p.MeanResidualDeg,
+		Spectrum:    prior.SpectralSignature(p.Table, priorSpectrumBands),
+	}
+}
+
 // priorManager owns the service's population prior: one model loaded (or
 // fitted) at startup, swapped atomically on every background refit, and
 // persisted under the store directory so the next process starts warm. The
@@ -30,7 +40,14 @@ type priorManager struct {
 	model atomic.Pointer[prior.Model]
 
 	stored atomic.Int64 // profiles stored since the last refit
-	mu     sync.Mutex   // serializes refits (Fit + Save + swap)
+
+	// Refit coalescing: at most one refit runs, and requests made while
+	// it runs collapse into one more run after it.
+	mu      sync.Mutex
+	running bool
+	pending bool
+
+	refitHook func() // test seam: runs at the start of each background refit
 }
 
 func newPriorManager(store *Store, refreshEvery, minProfiles int, log *slog.Logger) *priorManager {
@@ -48,8 +65,8 @@ func newPriorManager(store *Store, refreshEvery, minProfiles int, log *slog.Logg
 		log:   log,
 	}
 	// Warm start: a persisted model wins (it is exactly what the last
-	// process fitted); otherwise fit once from whatever profiles already
-	// exist on disk.
+	// process fitted); otherwise fit once from the samples the stored
+	// records carry.
 	if pm, err := prior.Load(m.path); err == nil {
 		m.model.Store(pm)
 		m.log.Info("population prior loaded", "path", m.path, "profiles", pm.Count)
@@ -68,38 +85,48 @@ func (m *priorManager) current() *prior.Model {
 	return m.model.Load()
 }
 
-// onStored counts a newly persisted profile and kicks an asynchronous
+// onStored counts a newly persisted profile and requests an asynchronous
 // refit once enough have accumulated. Safe from any worker goroutine.
 func (m *priorManager) onStored() {
 	if m.stored.Add(1) < int64(m.every) {
 		return
 	}
 	m.stored.Store(0)
-	go m.refit()
-}
-
-// refit fits a fresh model over every stored profile and publishes it.
-// Refits serialize on m.mu; a failure leaves the previous model in place.
-func (m *priorManager) refit() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	users, err := m.store.Users()
-	if err != nil {
-		m.log.Warn("prior refit: listing profiles failed", "err", err)
+	if m.running {
+		m.pending = true
 		return
 	}
-	samples := make([]prior.Sample, 0, len(users))
-	for _, u := range users {
-		p, err := m.store.Get(u)
-		if err != nil {
-			continue // racing deletion or a corrupt file; fit over the rest
+	m.running = true
+	go m.refitLoop()
+}
+
+// refitLoop refits until no request arrived during the last run. A run
+// lists the store when it starts, so the last one covers every profile
+// stored before it.
+func (m *priorManager) refitLoop() {
+	for {
+		if m.refitHook != nil {
+			m.refitHook()
 		}
-		samples = append(samples, prior.Sample{
-			Params:      p.HeadParams,
-			ResidualDeg: p.MeanResidualDeg,
-			Spectrum:    prior.SpectralSignature(p.Table, priorSpectrumBands),
-		})
+		m.refit()
+		m.mu.Lock()
+		if !m.pending {
+			m.running = false
+			m.mu.Unlock()
+			return
+		}
+		m.pending = false
+		m.mu.Unlock()
 	}
+}
+
+// refit fits a fresh model over every stored profile's sample (see
+// Store.PriorSamples) and publishes it. A failure leaves the previous
+// model in place. Callers guarantee that refits never overlap.
+func (m *priorManager) refit() {
+	samples := m.store.PriorSamples()
 	if len(samples) < m.min {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/prior"
 	"repro/internal/segstore"
 )
 
@@ -52,6 +53,12 @@ type Store struct {
 	byKey    map[string]*list.Element // user -> element; value is *StoredProfile
 	order    *list.List               // front = most recently used
 	inflight map[string]*loadCall     // user -> in-progress cold read
+
+	// legacy remembers the prior samples of records that carry no summary
+	// (written before records carried one), by user, with the LSN of the
+	// record decoded, so PriorSamples decodes each at most once.
+	legacyMu sync.Mutex
+	legacy   map[string]legacySample
 
 	hits, misses, notFound, evictions atomic.Uint64
 
@@ -102,6 +109,7 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 		byKey:    make(map[string]*list.Element),
 		order:    list.New(),
 		inflight: make(map[string]*loadCall),
+		legacy:   make(map[string]legacySample),
 	}
 	return s, nil
 }
@@ -128,8 +136,10 @@ func sweepStaging(dir string) {
 func (s *Store) Dir() string { return s.dir }
 
 // Put persists a profile and caches it. The profile must carry a valid
-// user and a table. The disk write runs without the cache lock, so cached
-// reads never stall behind a slow device.
+// user and a table. The record carries the profile's population-prior
+// sample as its summary, so prior refits never decode it. The disk write
+// runs without the cache lock, so cached reads never stall behind a slow
+// device.
 func (s *Store) Put(p *StoredProfile) error {
 	if p == nil || p.Table == nil {
 		return errors.New("service: refusing to store an empty profile")
@@ -137,10 +147,14 @@ func (s *Store) Put(p *StoredProfile) error {
 	if !ValidUser(p.User) {
 		return fmt.Errorf("%w: %q", ErrBadUser, p.User)
 	}
+	summary, err := priorSampleOf(p).MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("service: summarize profile: %w", err)
+	}
 	if s.putStall != nil {
 		s.putStall()
 	}
-	if err := s.seg.Put(p); err != nil {
+	if err := s.seg.PutWithSummary(p, summary); err != nil {
 		return fmt.Errorf("service: store profile: %w", err)
 	}
 	s.mu.Lock()
@@ -203,6 +217,48 @@ func (s *Store) Get(user string) (*StoredProfile, error) {
 	c.p, c.err = p, err
 	close(c.done)
 	return p, err
+}
+
+type legacySample struct {
+	lsn    uint64
+	sample prior.Sample
+}
+
+// PriorSamples returns every stored profile's population-prior sample, in
+// sorted user order, from the summaries the records carry: an index walk
+// that decodes no profile and leaves the LRU untouched. A record without a
+// summary is decoded straight from the segment store, past the LRU, and
+// its sample remembered until the user's record changes. A user whose
+// record cannot be read (a racing deletion, a corrupt record) is left out.
+func (s *Store) PriorSamples() []prior.Sample {
+	users := s.seg.Keys()
+	samples := make([]prior.Sample, 0, len(users))
+	s.legacyMu.Lock()
+	defer s.legacyMu.Unlock()
+	for _, u := range users {
+		summary, lsn, ok := s.seg.Summary(u)
+		if !ok {
+			continue
+		}
+		var smp prior.Sample
+		if smp.UnmarshalBinary(summary) == nil {
+			delete(s.legacy, u)
+			samples = append(samples, smp)
+			continue
+		}
+		if l, ok := s.legacy[u]; ok && l.lsn == lsn {
+			samples = append(samples, l.sample)
+			continue
+		}
+		p, err := s.seg.Get(u)
+		if err != nil || p.Table == nil {
+			continue
+		}
+		smp = priorSampleOf(p)
+		s.legacy[u] = legacySample{lsn: lsn, sample: smp}
+		samples = append(samples, smp)
+	}
+	return samples
 }
 
 // cacheLocked inserts or refreshes a cache entry, evicting from the LRU
