@@ -15,10 +15,11 @@ const guardRegressionThreshold = 1.20
 
 // TestBenchRegressionGuard replays the committed bench.json kernels for
 // the FFT plans, the streaming engine (convolver and AoA tracker), the
-// gateway's profile-read relay, the profile store (its start-up scan
-// included) and the prior refit, the sensor-fusion solve on both its
-// exact and cascade paths, and the whole-pipeline personalize records with
-// their per-stage breakdown, and fails on a >20% ns/op regression.
+// gateway's profile-read relay, the node's submit decode, the profile
+// store (its start-up scan included) and the prior refit, the
+// sensor-fusion solve on both its exact and cascade paths, and the
+// whole-pipeline personalize records with their per-stage breakdown, and
+// fails on a >20% ns/op regression.
 // Opt-in (it costs benchmark time):
 //
 //	BENCH_GUARD=1 go test -run TestBenchRegressionGuard .
@@ -48,6 +49,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 			!strings.HasPrefix(rec.Name, "gateway/") &&
 			!strings.HasPrefix(rec.Name, "store/") &&
 			!strings.HasPrefix(rec.Name, "prior/") &&
+			!strings.HasPrefix(rec.Name, "service/") &&
 			!strings.HasPrefix(rec.Name, "fuseSensors") &&
 			!strings.HasPrefix(rec.Name, "personalize/") {
 			continue

@@ -243,6 +243,9 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		// The uniqgw relay of a 2.5 MB profile read (see
 		// benchgateway_test.go).
 		return measureGatewayKernel(name)
+	case strings.HasPrefix(name, "service/"):
+		// The node's decode of a session submit (see benchservice_test.go).
+		return measureServiceKernel(name)
 	case strings.HasPrefix(name, "store/"), name == "prior/refit":
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
 		// cold reads, durable puts, bulk load, the start-up scan, and the
@@ -579,11 +582,14 @@ func TestEmitBenchJSON(t *testing.T) {
 		sum.Derived["storeBulkLoadProfilesPerSec"] = float64(storeBenchBulkBatch) / (bulk / 1e9)
 	}
 
-	// The gateway's profile-read relay, client to node over loopback.
-	if r, ok := measureKernel("gateway/profile-read"); ok {
-		add("gateway/profile-read", r)
-	} else {
-		t.Fatal("gateway/profile-read kernel failed to start")
+	// The gateway's profile-read relay, client to node over loopback, and
+	// the node's decode of a session submit.
+	for _, name := range []string{"gateway/profile-read", "service/submit-decode/json"} {
+		r, ok := measureKernel(name)
+		if !ok {
+			t.Fatalf("%s kernel failed to start", name)
+		}
+		add(name, r)
 	}
 
 	if fast := ns["fuseSensors/fast"]; fast > 0 {

@@ -134,7 +134,10 @@ func main() {
 		handler = mux
 		log.Printf("uniqd: pprof enabled at /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// Headers must arrive promptly; bodies get no read timeout, because the
+	// stream routes are full-duplex for as long as a session lasts. What a
+	// stalled body can pin is bounded by the body reader's presize budget.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("uniqd: listening on %s", *addr)

@@ -106,7 +106,10 @@ func main() {
 	}
 	log.Printf("uniqgw %s: fronting %d node(s), %d vnodes each", buildinfo.Version(), len(nodes), *vnodes)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: gw.Handler()}
+	// Headers must arrive promptly; bodies get no read timeout, because the
+	// stream routes are full-duplex for as long as a session lasts. What a
+	// stalled body can pin is bounded by the body reader's presize budget.
+	httpSrv := &http.Server{Addr: *addr, Handler: gw.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("uniqgw: listening on %s", *addr)

@@ -26,6 +26,7 @@ var deadExportAllowlist = map[string]string{
 	"sim.MeasureGroundTruthNear": "near-field ground truth for the core near/far tests and the root benchmarks",
 	"optimize.GridSearch":        "sequential reference that GridSearchParallel is tested against",
 	"hrtf.BinauralCorrelation":   "two-ear similarity metric of the core near/far tests",
+	"dsp.FindPeaks":              "peak list the core near-field tests count; reference for FirstPeak's one-scan search",
 	// Paper reproductions that only tests run.
 	"core.BlindDecouple":            "§4.3 negative result: blind source/channel decoupling",
 	"core.DefaultBeamformingDesign": "§4.3 negative result: earbud beamforming design",

@@ -50,6 +50,7 @@ type Gateway struct {
 	cfg     GatewayConfig
 	reg     *Registry
 	metrics *gatewayMetrics
+	bodies  *service.BodyReader
 	log     *slog.Logger
 	handler http.Handler
 }
@@ -86,6 +87,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg:     cfg,
 		reg:     reg,
 		metrics: newGatewayMetrics(obs.NewRegistry(), reg),
+		bodies:  service.NewBodyReader(cfg.MaxBodyBytes),
 		log:     cfg.Logger,
 	}
 
@@ -308,15 +310,12 @@ func checkUser(w http.ResponseWriter, user string) bool {
 	return false
 }
 
-// readBody reads a unary request body whole, bounded by MaxBodyBytes and
-// presized from Content-Length when that fits, answering 413 itself. It
-// returns false when the caller should stop.
+// readBody reads a unary request body whole through the gateway's
+// service.BodyReader, bounded by MaxBodyBytes, answering 400/413 itself.
+// It returns false when the caller should stop.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= g.cfg.MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)); err != nil {
+	body, err := g.bodies.Read(w, r)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			gwError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
@@ -325,7 +324,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		}
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return body, true
 }
 
 // --- user-keyed unary routes ---

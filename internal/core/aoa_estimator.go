@@ -169,8 +169,9 @@ func (e *AoAEstimator) relativeChannel(left, right []float64) {
 	e.forwardReal(e.p1, e.fl1, e.pad1, left)
 	e.forwardReal(e.p1, e.fr1, e.pad1, right)
 
-	// Regularized division, matching dsp.SpectralDivide(fl, fr, 1e-2) but
-	// written into fl in place.
+	// Regularized division FL·FR*/(|FR|²+eps), eps = 1e-2·max|FR|², written
+	// into fl in place (the divisor changes every call, so there is nothing
+	// to prepare as a dsp.Deconvolver).
 	maxPow := 0.0
 	for _, b := range e.fr1 {
 		if p := real(b)*real(b) + imag(b)*imag(b); p > maxPow {

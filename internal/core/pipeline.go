@@ -179,7 +179,8 @@ func PersonalizeContext(ctx context.Context, in SessionInput, opt PipelineOption
 	// 1. Channel estimation per stop, fanned across a bounded worker pool:
 	// stops are independent, so they run concurrently and are re-assembled
 	// in sweep order below (the output is bit-identical at any worker
-	// count).
+	// count). The probe and system-IR spectra are prepared once for the
+	// session; each worker reuses its own scratch across stops.
 	est := &ChannelEstimator{
 		Probe:              in.Probe,
 		SampleRate:         in.SampleRate,
@@ -187,8 +188,6 @@ func PersonalizeContext(ctx context.Context, in SessionInput, opt PipelineOption
 		SyncOffset:         in.SyncOffset,
 		TruncateRoomEchoes: !opt.DisableRoomTruncation,
 	}
-	// Fill the estimator's defaults once up front: Estimate then never
-	// writes the estimator, making it safe to share across the workers.
 	est.fillDefaults()
 	workers := opt.Workers
 	if workers == 0 {
@@ -209,14 +208,20 @@ func PersonalizeContext(ctx context.Context, in SessionInput, opt PipelineOption
 		err error
 	}
 	estStart := stageClock(obsv)
+	recLens := make([]int, len(in.Stops))
+	for i, stop := range in.Stops {
+		recLens[i] = len(stop.Left) // Validate made both channels this long
+	}
+	ws := est.prepare(recLens)
 	results := make([]stopResult, len(in.Stops))
 	if workers == 1 {
+		scratch := ws.newScratch()
 		for i, stop := range in.Stops {
 			if err := ctx.Err(); err != nil {
 				stageDone(obsv, StageChannelEstimation, estStart, err)
 				return nil, err
 			}
-			results[i].ch, results[i].err = est.Estimate(stop.Left, stop.Right)
+			results[i].ch, results[i].err = ws.estimate(scratch, stop.Left, stop.Right)
 		}
 	} else {
 		var next atomic.Int64
@@ -225,13 +230,14 @@ func PersonalizeContext(ctx context.Context, in SessionInput, opt PipelineOption
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				scratch := ws.newScratch()
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
 					if i >= len(in.Stops) {
 						return
 					}
 					stop := in.Stops[i]
-					results[i].ch, results[i].err = est.Estimate(stop.Left, stop.Right)
+					results[i].ch, results[i].err = ws.estimate(scratch, stop.Left, stop.Right)
 				}
 			}()
 		}

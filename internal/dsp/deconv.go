@@ -11,69 +11,50 @@ import "math/cmplx"
 // where eps = reg * max|X|^2. The returned response has the given length,
 // with tap 0 corresponding to zero delay. A reg of ~1e-3 is robust for the
 // chirp probes used by UNIQ. This is the channel-estimation primitive behind
-// Fig 9 of the paper.
+// Fig 9 of the paper. It is the one-shot form of Deconvolver, which callers
+// that deconvolve many outputs of one input prepare once.
 func Deconvolve(y, x []float64, length int, reg float64) []float64 {
+	out := make([]float64, length)
 	if len(x) == 0 || len(y) == 0 || length <= 0 {
-		return make([]float64, length)
+		return out
 	}
 	if reg <= 0 {
 		reg = 1e-3
 	}
-	n := len(y)
-	if len(x) > n {
-		n = len(x)
-	}
-	m := NextPow2(n + length)
-	fy := make([]complex128, m)
+	m := NextPow2(max(len(y), len(x)) + length)
 	fx := make([]complex128, m)
-	for i, v := range y {
-		fy[i] = complex(v, 0)
-	}
 	for i, v := range x {
 		fx[i] = complex(v, 0)
 	}
-	fftRadix2(fy, false)
 	fftRadix2(fx, false)
-	maxPow := 0.0
-	for _, v := range fx {
-		p := real(v)*real(v) + imag(v)*imag(v)
-		if p > maxPow {
-			maxPow = p
-		}
-	}
-	eps := reg * maxPow
-	if eps == 0 {
-		eps = 1e-30
-	}
-	for i := range fy {
-		xc := fx[i]
-		den := real(xc)*real(xc) + imag(xc)*imag(xc) + eps
-		fy[i] = fy[i] * cmplx.Conj(xc) / complex(den, 0)
-	}
-	fftRadix2(fy, true)
-	out := make([]float64, length)
-	inv := 1 / float64(m)
-	for i := 0; i < length && i < m; i++ {
-		out[i] = real(fy[i]) * inv
-	}
+	NewDeconvolver(fx, reg).Deconvolve(out, y, make([]complex128, m))
 	return out
 }
 
-// SpectralDivide returns A(f)/B(f) with Tikhonov regularization, both
-// spectra assumed equal length. Used by the relative-channel computation in
-// unknown-source AoA estimation (eq. 10/11 of the paper work around its
-// sensitivity; this helper exists for analysis and tests).
-func SpectralDivide(a, b []complex128, reg float64) []complex128 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// Deconvolver is Deconvolve prepared for one known input at one
+// power-of-two transform size m. It holds the input's m-point spectrum X
+// and the Wiener denominators |X|²+eps, so a deconvolution transforms only
+// the observed output, in scratch the caller owns. It is immutable and
+// safe for concurrent use.
+type Deconvolver struct {
+	plan *Plan
+	spec []complex128 // X
+	den  []float64    // |X|² + eps
+}
+
+// NewDeconvolver prepares division by the known input whose m-point
+// spectrum is spec (m a power of two), with eps = reg·max|X|² (reg > 0).
+// The Deconvolver keeps spec; the caller must not modify it afterwards.
+func NewDeconvolver(spec []complex128, reg float64) *Deconvolver {
+	m := len(spec)
+	if !IsPow2(m) || m < 2 {
+		panic("dsp: deconvolver size must be a power of two >= 2")
 	}
-	if reg <= 0 {
-		reg = 1e-6
-	}
+	den := make([]float64, m)
 	maxPow := 0.0
-	for i := 0; i < n; i++ {
-		p := real(b[i])*real(b[i]) + imag(b[i])*imag(b[i])
+	for i, v := range spec {
+		p := real(v)*real(v) + imag(v)*imag(v)
+		den[i] = p
 		if p > maxPow {
 			maxPow = p
 		}
@@ -82,10 +63,38 @@ func SpectralDivide(a, b []complex128, reg float64) []complex128 {
 	if eps == 0 {
 		eps = 1e-30
 	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		den := real(b[i])*real(b[i]) + imag(b[i])*imag(b[i]) + eps
-		out[i] = a[i] * cmplx.Conj(b[i]) / complex(den, 0)
+	for i := range den {
+		den[i] += eps
 	}
-	return out
+	return &Deconvolver{plan: PlanFFT(m), spec: spec, den: den}
+}
+
+// Size returns the transform size m.
+func (d *Deconvolver) Size() int { return len(d.spec) }
+
+// Deconvolve writes the first len(dst) taps of the channel whose output is
+// y into dst, transforming in scratch[:m]. len(y) + len(dst) must not
+// exceed m, which keeps the circular deconvolution free of wrap-around.
+func (d *Deconvolver) Deconvolve(dst, y []float64, scratch []complex128) {
+	m := len(d.spec)
+	s := scratch[:m]
+	for i, v := range y {
+		s[i] = complex(v, 0)
+	}
+	clear(s[len(y):])
+	d.plan.transform(s, false)
+	d.Divide(s)
+	d.plan.transform(s, true)
+	inv := 1 / float64(m)
+	for i := range dst {
+		dst[i] = real(s[i]) * inv
+	}
+}
+
+// Divide replaces the m-point spectrum y with Y·X*/(|X|²+eps) in place.
+func (d *Deconvolver) Divide(y []complex128) {
+	y = y[:len(d.spec)]
+	for i, xc := range d.spec {
+		y[i] = y[i] * cmplx.Conj(xc) / complex(d.den[i], 0)
+	}
 }

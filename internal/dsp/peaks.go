@@ -27,19 +27,7 @@ func FindPeaks(x []float64, minRel float64, minDist int) []Peak {
 	thresh := minRel * maxMag
 	var cand []Peak
 	for i := range x {
-		m := math.Abs(x[i])
-		if m < thresh {
-			continue
-		}
-		prev := 0.0
-		if i > 0 {
-			prev = math.Abs(x[i-1])
-		}
-		next := 0.0
-		if i < len(x)-1 {
-			next = math.Abs(x[i+1])
-		}
-		if m >= prev && m > next {
+		if isPeak(x, i, thresh) {
 			cand = append(cand, Peak{Index: i, Value: x[i]})
 		}
 	}
@@ -87,6 +75,24 @@ func FindPeaks(x []float64, minRel float64, minDist int) []Peak {
 	return out
 }
 
+// isPeak reports whether |x[i]| is a local maximum of |x| (ties to the
+// left count, to the right do not) at least thresh.
+func isPeak(x []float64, i int, thresh float64) bool {
+	m := math.Abs(x[i])
+	if m < thresh {
+		return false
+	}
+	prev := 0.0
+	if i > 0 {
+		prev = math.Abs(x[i-1])
+	}
+	next := 0.0
+	if i < len(x)-1 {
+		next = math.Abs(x[i+1])
+	}
+	return m >= prev && m > next
+}
+
 func absInt(v int) int {
 	if v < 0 {
 		return -v
@@ -96,23 +102,31 @@ func absInt(v int) int {
 
 // FirstPeak returns the earliest local maximum of |x| with magnitude at
 // least minRel times the global maximum, refined to sub-sample precision by
-// parabolic interpolation. It returns the (possibly fractional) index and
+// band-limited interpolation. It returns the (possibly fractional) index and
 // the peak's signed value, or (-1, 0) if no peak qualifies. UNIQ uses the
-// first channel tap to measure the diffraction path (§4.1).
+// first channel tap to measure the diffraction path (§4.1). It is the
+// first of FindPeaks(x, minRel, 1), found by one scan that allocates
+// nothing.
 func FirstPeak(x []float64, minRel float64) (index float64, value float64) {
-	peaks := FindPeaks(x, minRel, 1)
-	if len(peaks) == 0 {
+	maxMag := MaxAbs(x)
+	if maxMag == 0 {
 		return -1, 0
 	}
-	p := peaks[0]
-	idx := float64(p.Index)
-	if p.Index > 0 && p.Index < len(x)-1 {
-		// Refine by band-limited (windowed-sinc) interpolation on a fine
-		// grid around the integer peak: for band-limited channels this is
-		// far more accurate than parabolic fitting on |x|.
-		idx = refinePeakSinc(x, p.Index)
+	thresh := minRel * maxMag
+	for i := range x {
+		if !isPeak(x, i, thresh) {
+			continue
+		}
+		idx := float64(i)
+		if i > 0 && i < len(x)-1 {
+			// Refine by band-limited (windowed-sinc) interpolation on a
+			// fine grid around the integer peak: for band-limited channels
+			// this is far more accurate than parabolic fitting on |x|.
+			idx = refinePeakSinc(x, i)
+		}
+		return idx, x[i]
 	}
-	return idx, p.Value
+	return -1, 0
 }
 
 // refinePeakSinc locates the magnitude maximum of the band-limited
@@ -167,15 +181,4 @@ func sincTables() (k, w [sincSteps + 1][2*sincHalf + 1]float64) {
 		}
 	}
 	return k, w
-}
-
-// TruncateAfter zeroes every sample of x at or beyond index n and returns a
-// copy. UNIQ uses this to strip room reflections, which arrive later than
-// head diffraction and pinna multipath (§4.6).
-func TruncateAfter(x []float64, n int) []float64 {
-	out := make([]float64, len(x))
-	if n > 0 {
-		copy(out, x[:min(n, len(x))])
-	}
-	return out
 }

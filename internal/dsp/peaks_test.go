@@ -76,23 +76,42 @@ func TestFirstPeakPicksEarliest(t *testing.T) {
 	}
 }
 
-func TestTruncateAfter(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := TruncateAfter(x, 3)
-	want := []float64{1, 2, 3, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
+// TestFirstPeakMatchesFindPeaks pins FirstPeak's one-scan search to the
+// composition it replaced: the first of FindPeaks(x, minRel, 1), refined
+// off the edges. Signals are sparse and noisy, with plateaus, negative
+// taps and silence.
+func TestFirstPeakMatchesFindPeaks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		x := make([]float64, 1+rng.Intn(80))
+		for i := range x {
+			switch rng.Intn(4) {
+			case 0:
+				x[i] = rng.NormFloat64()
+			case 1:
+				if i > 0 {
+					x[i] = -x[i-1]
+				}
+			}
+		}
+		minRel := rng.Float64()
+		wantIdx, wantVal := -1.0, 0.0
+		if peaks := FindPeaks(x, minRel, 1); len(peaks) > 0 {
+			p := peaks[0]
+			wantIdx, wantVal = float64(p.Index), p.Value
+			if p.Index > 0 && p.Index < len(x)-1 {
+				wantIdx = refinePeakSinc(x, p.Index)
+			}
+		}
+		gotIdx, gotVal := FirstPeak(x, minRel)
+		if math.Float64bits(gotIdx) != math.Float64bits(wantIdx) || math.Float64bits(gotVal) != math.Float64bits(wantVal) {
+			t.Fatalf("trial %d: FirstPeak = (%v, %v), FindPeaks gives (%v, %v) for %v at %v",
+				trial, gotIdx, gotVal, wantIdx, wantVal, x, minRel)
 		}
 	}
-	if x[3] != 4 {
-		t.Error("TruncateAfter must not mutate its input")
-	}
-	if got := TruncateAfter(x, 0); MaxAbs(got) != 0 {
-		t.Error("TruncateAfter(x, 0) should be all zeros")
-	}
-	if got := TruncateAfter(x, 99); got[4] != 5 {
-		t.Error("TruncateAfter beyond length should copy everything")
+	x := DelayedImpulse(64, 20.3, 1)
+	if allocs := testing.AllocsPerRun(10, func() { FirstPeak(x, 0.3) }); allocs != 0 {
+		t.Errorf("FirstPeak allocated %v times per call, want 0", allocs)
 	}
 }
 

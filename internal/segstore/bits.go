@@ -5,11 +5,14 @@ import (
 	"errors"
 )
 
-// bitWriter appends bits MSB-first into a byte slice. It backs the XOR
-// float compressor; the write path never fails.
+// bitWriter appends bits MSB-first into a byte slice. It gathers them in
+// a 64-bit word and appends whole words; bytes pads the last partial byte
+// with zero bits. It backs the XOR float compressor; the write path never
+// fails.
 type bitWriter struct {
-	b     []byte
-	nbits uint // bits written so far
+	b    []byte
+	acc  uint64 // pending bits, from the top down
+	nacc uint   // pending bit count, < 64
 }
 
 // writeBit appends one bit (the low bit of v).
@@ -17,20 +20,26 @@ func (w *bitWriter) writeBit(v uint64) { w.writeBits(v&1, 1) }
 
 // writeBits appends the low n bits of v, most significant first. n <= 64.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		if w.nbits%8 == 0 {
-			w.b = append(w.b, 0)
-		}
-		free := 8 - w.nbits%8
-		take := n
-		if take > free {
-			take = free
-		}
-		chunk := byte((v >> (n - take)) & ((1 << take) - 1))
-		w.b[len(w.b)-1] |= chunk << (free - take)
-		w.nbits += take
-		n -= take
+	v &= 1<<n - 1 // Go shifts of 64 or more give 0, so n == 64 keeps v whole
+	free := 64 - w.nacc
+	if n < free {
+		w.acc |= v << (free - n)
+		w.nacc += n
+		return
 	}
+	// v fills the word: append it, and keep the n-free bits left over.
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc|v>>(n-free))
+	w.nacc = n - free
+	w.acc = v << (64 - w.nacc)
+}
+
+// bytes returns everything written, the last byte zero-padded.
+func (w *bitWriter) bytes() []byte {
+	for i := uint(0); i < w.nacc; i += 8 {
+		w.b = append(w.b, byte(w.acc>>(56-i)))
+	}
+	w.acc, w.nacc = 0, 0
+	return w.b
 }
 
 // errBitUnderflow reports a bitstream read past its end — a corrupt or

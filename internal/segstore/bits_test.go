@@ -1,9 +1,88 @@
 package segstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
+
+// refBitWriter is the byte-at-a-time writer that bitWriter replaced, kept
+// as the reference the word-at-a-time writer must match byte for byte.
+type refBitWriter struct {
+	b     []byte
+	nbits uint
+}
+
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	for n > 0 {
+		if w.nbits%8 == 0 {
+			w.b = append(w.b, 0)
+		}
+		free := 8 - w.nbits%8
+		take := n
+		if take > free {
+			take = free
+		}
+		chunk := byte((v >> (n - take)) & ((1 << take) - 1))
+		w.b[len(w.b)-1] |= chunk << (free - take)
+		w.nbits += take
+		n -= take
+	}
+}
+
+// compareBitWriters writes ops with both writers and fails unless their
+// bytes agree. Each op is 9 bytes: a width (mod 65) and a big-endian
+// value whose bits above the width must be ignored; a short tail op
+// writes one bit.
+func compareBitWriters(t *testing.T, ops []byte) {
+	t.Helper()
+	var got bitWriter
+	var want refBitWriter
+	for len(ops) > 0 {
+		n, v := uint(1), uint64(ops[0])
+		if len(ops) >= 9 {
+			n, v = uint(ops[0])%65, binary.BigEndian.Uint64(ops[1:9])
+			ops = ops[9:]
+		} else {
+			ops = ops[1:]
+		}
+		if n == 1 {
+			got.writeBit(v)
+		} else {
+			got.writeBits(v, n)
+		}
+		want.writeBits(v, n)
+	}
+	if g := got.bytes(); !bytes.Equal(g, want.b) {
+		t.Fatalf("writer produced %x, reference %x", g, want.b)
+	}
+}
+
+// TestBitWriterMatchesReference drives both writers with random widths,
+// including 0 and 64, and values with stray high bits.
+func TestBitWriterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		ops := make([]byte, rng.Intn(300))
+		rng.Read(ops)
+		for i := 0; i+9 <= len(ops); i += 9 {
+			ops[i] = byte(rng.Intn(65))
+		}
+		compareBitWriters(t, ops)
+	}
+}
+
+// FuzzBitWriter compares the word-at-a-time writer with the reference on
+// arbitrary write sequences.
+func FuzzBitWriter(f *testing.F) {
+	f.Add([]byte{64, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Add([]byte{63, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 5, 0, 0, 0, 0, 0, 0, 0, 0x1f})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		compareBitWriters(t, ops)
+	})
+}
 
 // refBitReader is the bit-at-a-time reader that bitReader replaced, kept
 // as the reference the word-at-a-time reader must match exactly.

@@ -58,7 +58,7 @@ func xorEncode(vals []float64) []byte {
 			prevLZ, prevTZ = lz, tz
 		}
 	}
-	return w.b
+	return w.bytes()
 }
 
 // xorDecode reverses xorEncode into dst (whose length fixes the value

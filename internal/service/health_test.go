@@ -85,6 +85,7 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		wantErr  string
 	}{
 		{"bad json", http.MethodPost, "/v1/sessions", "{not json", http.StatusBadRequest, CodeBadJSON},
+		{"trailing data", http.MethodPost, "/v1/sessions", `{"user":"u","input":{}} {"user":"v"}`, http.StatusBadRequest, CodeBadJSON},
 		{"bad user", http.MethodPost, "/v1/sessions", `{"user":"","input":{}}`, http.StatusBadRequest, CodeBadUser},
 		{"invalid session", http.MethodPost, "/v1/sessions", `{"user":"u","input":{}}`, http.StatusBadRequest, CodeInvalidSession},
 		{"job not found", http.MethodGet, "/v1/jobs/nope", "", http.StatusNotFound, CodeJobNotFound},

@@ -81,6 +81,7 @@ type Service struct {
 	pool    *Pool
 	prior   *priorManager // nil unless PriorEnabled
 	metrics *serviceMetrics
+	bodies  *BodyReader
 	log     *slog.Logger
 	handler http.Handler
 }
@@ -154,6 +155,7 @@ func New(cfg Config) (*Service, error) {
 		pool:    pool,
 		prior:   pm,
 		metrics: newServiceMetrics(reg, pool, store),
+		bodies:  NewBodyReader(cfg.MaxBodyBytes),
 		log:     cfg.Logger,
 	}
 
@@ -363,11 +365,12 @@ func httpErrorCode(w http.ResponseWriter, code int, errCode, format string, args
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...), Code: errCode})
 }
 
-// decodeBody decodes a JSON request body under the configured size limit,
-// reporting 400/413 itself. It returns false when the caller should stop.
+// decodeBody reads a JSON request body into one buffer under the
+// configured size limit and decodes it, reporting 400/413 itself. Bytes
+// after the JSON value other than whitespace are a 400. It returns false
+// when the caller should stop.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err := s.bodies.DecodeJSON(w, r, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpErrorCode(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
 // FuzzSubmitRequest drives arbitrary POST /v1/sessions bodies through the
-// submit handler's decode into a SubmitRequest and SessionInput.Validate.
+// node's decodeBody (its body reader and JSON decode) into a SubmitRequest
+// and SessionInput.Validate.
 // Nothing may panic, and every session Validate accepts must be one the
 // solver can index: a finite positive sample rate, a probe, an IMU log,
 // and at least one stop whose two channels are non-empty and equally long.
@@ -28,12 +31,15 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"input":null}`,
 		`[]`,
 		`not json`,
+		`{"user":"a","input":{}} {"user":"b"}`,
 	} {
 		f.Add([]byte(s))
 	}
+	node := &Service{bodies: NewBodyReader(64 << 20)}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SubmitRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
+		if !node.decodeBody(httptest.NewRecorder(), r, &req) {
 			return
 		}
 		in := req.Input
