@@ -244,7 +244,8 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		// benchgateway_test.go).
 		return measureGatewayKernel(name)
 	case strings.HasPrefix(name, "service/"):
-		// The node's decode of a session submit (see benchservice_test.go).
+		// The node's session decode and profile write (see
+		// benchservice_test.go).
 		return measureServiceKernel(name)
 	case strings.HasPrefix(name, "store/"), name == "prior/refit":
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
@@ -583,8 +584,8 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 
 	// The gateway's profile-read relay, client to node over loopback, and
-	// the node's decode of a session submit.
-	for _, name := range []string{"gateway/profile-read", "service/submit-decode/json"} {
+	// the node's decode of a session submit and its write of a profile.
+	for _, name := range []string{"gateway/profile-read", "service/submit-decode/json", "service/profile-write/json"} {
 		r, ok := measureKernel(name)
 		if !ok {
 			t.Fatalf("%s kernel failed to start", name)

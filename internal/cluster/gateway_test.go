@@ -483,6 +483,14 @@ func TestGatewayMetricsExposed(t *testing.T) {
 	if flat["uniqgw_ring_nodes"] != 1 {
 		t.Fatalf("ring gauge = %v, want 1", flat["uniqgw_ring_nodes"])
 	}
+	for _, name := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines"} {
+		if _, ok := flat[name]; !ok {
+			t.Errorf("runtime series %s missing", name)
+		}
+	}
+	if flat["go_goroutines"] < 1 || flat["go_gc_heap_goal_bytes"] <= 0 {
+		t.Errorf("runtime gauges read %v goroutines, heap goal %v bytes", flat["go_goroutines"], flat["go_gc_heap_goal_bytes"])
+	}
 
 	resp, err = http.Get(front.URL + "/debug/metrics")
 	if err != nil {
@@ -490,7 +498,7 @@ func TestGatewayMetricsExposed(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"uniqgw_route_total", "uniqgw_backend_seconds", "uniqgw_requests_total", "uniqgw_nodes{"} {
+	for _, want := range []string{"uniqgw_route_total", "uniqgw_backend_seconds", "uniqgw_requests_total", "uniqgw_nodes{", "go_gc_heap_goal_bytes"} {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("text exposition missing %s", want)
 		}

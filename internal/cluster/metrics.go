@@ -52,6 +52,7 @@ func newGatewayMetrics(reg *obs.Registry, r *Registry) *gatewayMetrics {
 		fallback: reg.Counter("uniqgw_read_fallback_total",
 			"Profile reads served by a ring successor because the owner failed."),
 	}
+	obs.RegisterRuntime(reg)
 	reg.GaugeFunc("uniqgw_ring_nodes", "Nodes on the hash ring.",
 		func() float64 { return float64(r.Ring().Len()) })
 	nodesByState := reg.GaugeVec("uniqgw_nodes", "Nodes by breaker state.", "state")

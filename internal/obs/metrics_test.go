@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +156,23 @@ func TestMetricsConcurrency(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Errorf("vec total %d, want %d", total, workers*iters)
+	}
+}
+
+// TestRegisterRuntime: the runtime gauges scrape with live values.
+func TestRegisterRuntime(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntime(reg)
+	runtime.GC()
+	m := reg.Flatten()
+	for _, name := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines"} {
+		if m[name] <= 0 {
+			t.Errorf("%s = %v, want > 0", name, m[name])
+		}
+	}
+	var b strings.Builder
+	reg.WriteText(&b)
+	if !strings.Contains(b.String(), "# TYPE go_gc_cycles_total counter") {
+		t.Errorf("exposition lacks the GC cycle counter:\n%s", b.String())
 	}
 }

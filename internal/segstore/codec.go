@@ -149,12 +149,8 @@ func encodePayload(p *Profile, summary []byte) ([]byte, error) {
 	if len(summary) > maxSummaryLen {
 		return nil, fmt.Errorf("segstore: summary of %d bytes exceeds %d", len(summary), maxSummaryLen)
 	}
-	// A rough size hint: taps dominate.
-	hint := 256 + len(summary)
-	if p.Table != nil {
-		hint += 9 * 8 * len(p.Table.Near) // guess; append grows as needed
-	}
-	b := make([]byte, 0, hint)
+	size, maxTaps := payloadBound(p, len(summary))
+	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint32(b, payloadMagic)
 	b = binary.LittleEndian.AppendUint16(b, payloadVersion)
 	b = binary.AppendUvarint(b, uint64(len(summary)))
@@ -188,21 +184,48 @@ func encodePayload(p *Profile, summary []byte) ([]byte, error) {
 		b = appendStr(b, p.StopError)
 	}
 	if p.Table != nil {
-		b = appendTable(b, p.Table)
+		// Every XOR tap block is built in this one scratch buffer.
+		b = appendTable(b, p.Table, make([]byte, 0, xorBound(maxTaps)))
 	}
 	return b, nil
 }
 
+// payloadBound returns an upper bound on the size of p's payload behind
+// a summary of summaryLen bytes, with every varint at its widest and
+// each tap block at its raw size plus the widest XOR length prefix (an
+// XOR block is kept only when it is shorter than the raw one), and the
+// length of p's longest tap block.
+func payloadBound(p *Profile, summaryLen int) (size, maxTaps int) {
+	const v = binary.MaxVarintLen64
+	// Magic, version, summary; four strings; time, four floats, skipped
+	// stops and flags.
+	size = 4 + 2 + v + summaryLen +
+		4*v + len(p.User) + len(p.JobID) + len(p.GestureReason) + len(p.StopError) +
+		v + 4*8 + v + 1
+	if t := p.Table; t != nil {
+		size += 3*8 + 2*v
+		for _, hs := range [][]hrtf.HRIR{t.Near, t.Far} {
+			for _, h := range hs {
+				// Flag, two length deltas, the entry's own rate, two blocks.
+				size += 1 + 2*v + 8 + 2*(1+v) + 8*(len(h.Left)+len(h.Right))
+				maxTaps = max(maxTaps, len(h.Left), len(h.Right))
+			}
+		}
+	}
+	return size, maxTaps
+}
+
 // appendTable serializes a lookup table: fixed geometry, then per-angle
-// HRIR metadata with delta-encoded tap lengths, then the tap blocks.
-func appendTable(b []byte, t *hrtf.Table) []byte {
+// HRIR metadata with delta-encoded tap lengths, then the tap blocks,
+// XOR-encoded in scratch (see appendTapBlock).
+func appendTable(b []byte, t *hrtf.Table, scratch []byte) []byte {
 	b = appendF64(b, t.SampleRate)
 	b = appendF64(b, t.AngleStep)
 	b = appendF64(b, t.MinAngle)
 	b = binary.AppendUvarint(b, uint64(len(t.Near)))
 	b = binary.AppendUvarint(b, uint64(len(t.Far)))
-	b = appendHRIRs(b, t.Near, t.SampleRate)
-	b = appendHRIRs(b, t.Far, t.SampleRate)
+	b = appendHRIRs(b, t.Near, t.SampleRate, scratch)
+	b = appendHRIRs(b, t.Far, t.SampleRate, scratch)
 	return b
 }
 
@@ -210,7 +233,7 @@ func appendTable(b []byte, t *hrtf.Table) []byte {
 // against the previous angle (neighbouring entries almost always share a
 // length, so the deltas are single zero bytes); each entry's sample rate
 // is stored only when it differs from the table's.
-func appendHRIRs(b []byte, hs []hrtf.HRIR, tableRate float64) []byte {
+func appendHRIRs(b []byte, hs []hrtf.HRIR, tableRate float64, scratch []byte) []byte {
 	prevL, prevR := 0, 0
 	for _, h := range hs {
 		var hf byte
@@ -224,8 +247,8 @@ func appendHRIRs(b []byte, hs []hrtf.HRIR, tableRate float64) []byte {
 		if hf&hrirOwnRate != 0 {
 			b = appendF64(b, h.SampleRate)
 		}
-		b = appendTapBlock(b, h.Left)
-		b = appendTapBlock(b, h.Right)
+		b = appendTapBlock(b, scratch, h.Left)
+		b = appendTapBlock(b, scratch, h.Right)
 	}
 	return b
 }

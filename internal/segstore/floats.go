@@ -17,15 +17,16 @@ const (
 	tapsXOR byte = 1
 )
 
-// xorEncode compresses vals with the Gorilla scheme: the first value is
-// stored verbatim; each subsequent value is XORed with its predecessor and
-// the nonzero window of the XOR is bit-packed, reusing the previous
-// explicit window when it still covers the bits.
-func xorEncode(vals []float64) []byte {
+// xorEncode appends to dst the Gorilla compression of vals: the first
+// value is stored verbatim; each subsequent value is XORed with its
+// predecessor and the nonzero window of the XOR is bit-packed, reusing the
+// previous explicit window when it still covers the bits. It needs at
+// most xorBound(len(vals)) bytes.
+func xorEncode(dst []byte, vals []float64) []byte {
 	if len(vals) == 0 {
-		return nil
+		return dst
 	}
-	var w bitWriter
+	w := bitWriter{b: dst}
 	prev := math.Float64bits(vals[0])
 	w.writeBits(prev, 64)
 	const noWindow = ^uint(0)
@@ -127,11 +128,17 @@ func xorDecode(dst []float64, data []byte) error {
 	return nil
 }
 
+// xorBound bounds xorEncode's output for n values: 64 bits for the first
+// and at most 77 (control, mode, 5+6-bit window, 64 bits) for each other,
+// appended in whole 64-bit words.
+func xorBound(n int) int { return 10*n + 16 }
+
 // appendTapBlock appends one tap block (method byte + payload) choosing
-// the smaller of raw and XOR encodings.
-func appendTapBlock(dst []byte, vals []float64) []byte {
+// the smaller of raw and XOR encodings. The XOR form is built in scratch,
+// which holds xorBound(len(vals)) bytes for it to stay one buffer.
+func appendTapBlock(dst, scratch []byte, vals []float64) []byte {
 	raw := 8 * len(vals)
-	if xb := xorEncode(vals); len(xb) < raw {
+	if xb := xorEncode(scratch[:0], vals); len(xb) < raw {
 		dst = append(dst, tapsXOR)
 		dst = binary.AppendUvarint(dst, uint64(len(xb)))
 		return append(dst, xb...)

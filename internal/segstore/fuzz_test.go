@@ -80,7 +80,7 @@ func FuzzXORRoundTrip(f *testing.F) {
 			}
 			vals[i] = math.Float64frombits(bits)
 		}
-		enc := xorEncode(vals)
+		enc := xorEncode(nil, vals)
 		dec := make([]float64, n)
 		if err := xorDecode(dec, enc); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)

@@ -171,7 +171,7 @@ func TestXORRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		enc := xorEncode(vals)
+		enc := xorEncode(nil, vals)
 		dec := make([]float64, n)
 		if err := xorDecode(dec, enc); err != nil {
 			t.Fatalf("trial %d (mode %d, n %d): %v", trial, mode, n, err)

@@ -27,6 +27,9 @@ type serviceMetrics struct {
 	reg      *obs.Registry
 	requests *obs.CounterVec
 	latency  *obs.HistogramVec
+	// submitDecodes counts POST /v1/sessions bodies by the decode path
+	// that took them (see DecodeSubmit).
+	submitDecodes *obs.CounterVec
 
 	// Streaming endpoints (/v1/stream/*): per-frame counters and
 	// processing-latency histograms, drop accounting, and live session
@@ -61,6 +64,9 @@ func newServiceMetrics(reg *obs.Registry, pool *Pool, store *Store) *serviceMetr
 		latency: reg.HistogramVec("uniqd_request_seconds",
 			"HTTP request latency by route pattern.",
 			latencyBuckets, "endpoint"),
+		submitDecodes: reg.CounterVec("uniqd_submit_decode_total",
+			"Session bodies decoded, by path: onepass (no reflection) or fallback (json.Unmarshal).",
+			"path"),
 		streamFrames: reg.CounterVec("uniqd_stream_frames_total",
 			"Streaming frames by session kind and direction (out events for aoa).",
 			"kind", "dir"),
@@ -72,6 +78,7 @@ func newServiceMetrics(reg *obs.Registry, pool *Pool, store *Store) *serviceMetr
 		streamUnderruns: reg.Counter("uniqd_stream_underrun_samples_total",
 			"Output samples short-read before sessions drained."),
 	}
+	obs.RegisterRuntime(reg)
 	streamActive := reg.GaugeVec("uniqd_stream_active_sessions",
 		"Live streaming sessions by kind.", "kind")
 	reg.OnCollect(func() {
@@ -172,6 +179,15 @@ func newServiceMetrics(reg *obs.Registry, pool *Pool, store *Store) *serviceMetr
 func (m *serviceMetrics) Observe(endpoint string, code int, seconds float64) {
 	m.requests.With(endpoint, strconv.Itoa(code)).Inc()
 	m.latency.With(endpoint).Observe(seconds)
+}
+
+// countSubmitDecode counts one session body by its decode path.
+func (m *serviceMetrics) countSubmitDecode(onePass bool) {
+	path := "fallback"
+	if onePass {
+		path = "onepass"
+	}
+	m.submitDecodes.With(path).Inc()
 }
 
 // activeStreams returns the number of live streaming sessions of any kind

@@ -287,15 +287,29 @@ func TestServerMetricsNewFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]float64{
-		`uniqd_jobs{state="done"}`:           1,
-		`uniqd_jobs{state="failed"}`:         0,
-		`uniqd_job_records`:                  1,
-		`uniqd_profile_cache_notfound_total`: 1,
-		`uniqd_workers_total`:                2,
+		`uniqd_jobs{state="done"}`:                  1,
+		`uniqd_jobs{state="failed"}`:                0,
+		`uniqd_job_records`:                         1,
+		`uniqd_profile_cache_notfound_total`:        1,
+		`uniqd_workers_total`:                       2,
+		`uniqd_submit_decode_total{path="onepass"}`: 1,
 	} {
 		if got, ok := m[key]; !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", key, got, ok, want)
 		}
+	}
+	// The client writes bodies with encoding/json: none takes the fallback.
+	if got := m[`uniqd_submit_decode_total{path="fallback"}`]; got != 0 {
+		t.Errorf("%v submit bodies took the fallback decode", got)
+	}
+	// The runtime gauges read live values.
+	for _, key := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines"} {
+		if _, ok := m[key]; !ok {
+			t.Errorf("metrics JSON missing %s", key)
+		}
+	}
+	if m["go_goroutines"] < 1 || m["go_gc_heap_goal_bytes"] <= 0 {
+		t.Errorf("runtime gauges read %v goroutines, heap goal %v bytes", m["go_goroutines"], m["go_gc_heap_goal_bytes"])
 	}
 	// Process-wide cache counters must be wired in, whatever their value.
 	for _, key := range []string{

@@ -365,21 +365,21 @@ func httpErrorCode(w http.ResponseWriter, code int, errCode, format string, args
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...), Code: errCode})
 }
 
-// decodeBody reads a JSON request body into one buffer under the
-// configured size limit and decodes it, reporting 400/413 itself. Bytes
-// after the JSON value other than whitespace are a 400. It returns false
-// when the caller should stop.
-func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := s.bodies.DecodeJSON(w, r, v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpErrorCode(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		} else {
-			httpErrorCode(w, http.StatusBadRequest, CodeBadJSON, "bad JSON body: %v", err)
-		}
-		return false
+// bodyOK answers a failed read or decode of a JSON request body (one
+// buffer under the configured size limit; anything but whitespace after
+// the value is malformed) with 413 or 400. It returns false when the
+// caller should stop.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
 	}
-	return true
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpErrorCode(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
+	} else {
+		httpErrorCode(w, http.StatusBadRequest, CodeBadJSON, "bad JSON body: %v", err)
+	}
+	return false
 }
 
 // profileFor fetches a user's profile, reporting 400/404 itself. It
@@ -404,7 +404,13 @@ func (s *Service) profileFor(w http.ResponseWriter, user string) *StoredProfile 
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !s.decodeBody(w, r, &req) {
+	body, err := s.bodies.Read(w, r)
+	if err == nil {
+		var onePass bool
+		onePass, err = DecodeSubmit(body, &req)
+		s.metrics.countSubmitDecode(onePass)
+	}
+	if !bodyOK(w, err) {
 		return
 	}
 	if routed := r.Header.Get(RoutedUserHeader); routed != "" && routed != req.User {
@@ -465,7 +471,12 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	w.Header().Set("Content-Type", "application/json")
+	var bad *json.UnsupportedValueError
+	if err := WriteProfileJSON(w, p); errors.As(err, &bad) {
+		// Nothing was written yet: a NaN or ±Inf has no JSON form.
+		httpError(w, http.StatusInternalServerError, "profile %q: %v", p.User, err)
+	}
 }
 
 func (s *Service) handleAoA(w http.ResponseWriter, r *http.Request) {
@@ -474,7 +485,7 @@ func (s *Service) handleAoA(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AoARequest
-	if !s.decodeBody(w, r, &req) {
+	if !bodyOK(w, s.bodies.DecodeJSON(w, r, &req)) {
 		return
 	}
 	if len(req.Left) == 0 || len(req.Right) == 0 {
@@ -510,7 +521,7 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RenderRequest
-	if !s.decodeBody(w, r, &req) {
+	if !bodyOK(w, s.bodies.DecodeJSON(w, r, &req)) {
 		return
 	}
 	if len(req.Mono) == 0 {

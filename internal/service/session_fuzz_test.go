@@ -1,17 +1,16 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 )
 
 // FuzzSubmitRequest drives arbitrary POST /v1/sessions bodies through the
-// node's decodeBody (its body reader and JSON decode) into a SubmitRequest
-// and SessionInput.Validate.
+// node's DecodeSubmit and, beside it, json.Unmarshal. Both must accept or
+// both reject, with the same error; an accepted body must decode to the
+// same value, Float64bits for Float64bits, nil and empty slices told
+// apart; and a body the one-pass decoder takes must be one json accepts.
 // Nothing may panic, and every session Validate accepts must be one the
 // solver can index: a finite positive sample rate, a probe, an IMU log,
 // and at least one stop whose two channels are non-empty and equally long.
@@ -32,17 +31,40 @@ func FuzzSubmitRequest(f *testing.F) {
 		`[]`,
 		`not json`,
 		`{"user":"a","input":{}} {"user":"b"}`,
+		// One-pass edges: whitespace, number forms, escapes, repeats.
+		" {\"user\" :\"a\"\n,\"input\":{\"Probe\":[ -0,1E+2 ,2.5e-3],\"SystemIR\":null}}\t",
+		`{"user":"aé","input":{"Probe":[1]}}`,
+		`{"user":"a","input":{"Probe":[1],"Probe":[2]}}`,
+		`{"user":"a","input":{"Probe":[01,1.,.5,-,1e,1e+]}}`,
+		`{"user":"a","input":{"SampleRate":1e-400,"SyncOffset":-1.7976931348623157e308}}`,
+		`{"user":"a","input":{"Probe":[,,,,0]}}`,
+		`{"user":"a","input":{"Probe":[1,[2]]}}`,
+		`{"user":"a","input":{"IMU":[{"T":1,"RateZ":2,"T":3}]}}`,
 	} {
 		f.Add([]byte(s))
 	}
-	node := &Service{bodies: NewBodyReader(64 << 20)}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req SubmitRequest
-		r := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
-		if !node.decodeBody(httptest.NewRecorder(), r, &req) {
+		var one, ref, got SubmitRequest
+		refErr := json.Unmarshal(body, &ref)
+		if onePass(body, &one) {
+			if refErr != nil {
+				t.Fatalf("one pass accepted a body json rejects: %v", refErr)
+			}
+			if !sameSubmit(&one, &ref) {
+				t.Fatalf("one-pass decode %+v, json.Unmarshal %+v", one, ref)
+			}
+		}
+		_, err := DecodeSubmit(body, &got)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("DecodeSubmit error %v, json.Unmarshal error %v", err, refErr)
+		}
+		if err != nil {
 			return
 		}
-		in := req.Input
+		if !sameSubmit(&got, &ref) {
+			t.Fatalf("DecodeSubmit %+v, json.Unmarshal %+v", got, ref)
+		}
+		in := got.Input
 		if in.Validate() != nil {
 			return
 		}
