@@ -128,9 +128,19 @@ type Personalization struct {
 // pipeline failure on well-formed input.
 var ErrInvalidSession = errors.New("core: invalid session input")
 
+// Session size caps. The default sweep has 37 stops and 2,001 IMU samples
+// (100 Hz over 20 s); the caps leave room for far denser and longer
+// sweeps while bounding what an untrusted session can make a decoder
+// allocate: a 3-byte {} in a session body becomes a 56-byte stop.
+const (
+	MaxSessionStops      = 1024
+	MaxSessionIMUSamples = 65536
+)
+
 // Validate checks the structural invariants a session must satisfy before
 // any DSP runs: a finite positive sample rate, a non-empty probe, at least
-// one stop with matched non-empty stereo channels, and an IMU log. All
+// one stop with matched non-empty stereo channels, and an IMU log, with
+// at most MaxSessionStops stops and MaxSessionIMUSamples IMU samples. All
 // failures wrap ErrInvalidSession.
 func (in SessionInput) Validate() error {
 	if in.SampleRate <= 0 || math.IsNaN(in.SampleRate) || math.IsInf(in.SampleRate, 0) {
@@ -144,6 +154,12 @@ func (in SessionInput) Validate() error {
 	}
 	if len(in.IMU) == 0 {
 		return fmt.Errorf("%w: session has no IMU samples", ErrInvalidSession)
+	}
+	if len(in.Stops) > MaxSessionStops {
+		return fmt.Errorf("%w: session has %d measurement stops, more than %d", ErrInvalidSession, len(in.Stops), MaxSessionStops)
+	}
+	if len(in.IMU) > MaxSessionIMUSamples {
+		return fmt.Errorf("%w: session has %d IMU samples, more than %d", ErrInvalidSession, len(in.IMU), MaxSessionIMUSamples)
 	}
 	for i, stop := range in.Stops {
 		if len(stop.Left) == 0 || len(stop.Right) == 0 {

@@ -154,6 +154,13 @@ func TestPersonalizeInputValidation(t *testing.T) {
 		{"empty left channel", func(s *SessionInput) { s.Stops[0].Left = nil }},
 		{"empty right channel", func(s *SessionInput) { s.Stops[0].Right = nil }},
 		{"mismatched channels", func(s *SessionInput) { s.Stops[0].Right = []float64{1} }},
+		{"too many stops", func(s *SessionInput) {
+			s.Stops = make([]StopRecording, MaxSessionStops+1)
+			for i := range s.Stops {
+				s.Stops[i] = valid.Stops[0]
+			}
+		}},
+		{"too many IMU samples", func(s *SessionInput) { s.IMU = make([]imu.Sample, MaxSessionIMUSamples+1) }},
 	}
 	for _, tc := range cases {
 		in := valid
@@ -168,6 +175,15 @@ func TestPersonalizeInputValidation(t *testing.T) {
 	}
 	if err := valid.Validate(); err != nil {
 		t.Errorf("structurally valid input rejected: %v", err)
+	}
+	atCaps := valid
+	atCaps.Stops = make([]StopRecording, MaxSessionStops)
+	for i := range atCaps.Stops {
+		atCaps.Stops[i] = valid.Stops[0]
+	}
+	atCaps.IMU = make([]imu.Sample, MaxSessionIMUSamples)
+	if err := atCaps.Validate(); err != nil {
+		t.Errorf("input at the stop and IMU caps rejected: %v", err)
 	}
 }
 

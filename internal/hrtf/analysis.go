@@ -40,9 +40,11 @@ func (h HRIR) MagnitudeResponse(nBins int) (freqs, left, right []float64) {
 	return freqs, left, right
 }
 
-// SpectralDistortion returns the mean absolute log-magnitude difference
-// (dB) between two HRIRs over the given band — a standard HRTF similarity
-// metric complementary to time-domain correlation.
+// SpectralDistortion returns the log-spectral distortion (LSD) between two
+// HRIRs over the given band, in dB: the root mean square, over both ears'
+// magnitude bins in the band, of the difference 20·log₁₀(|A|/|B|), the
+// form the HRTF individualization literature reports. It is +Inf for
+// mismatched or missing sample rates and for a band with no bins.
 func SpectralDistortion(a, b HRIR, loHz, hiHz float64) float64 {
 	if a.SampleRate <= 0 || a.SampleRate != b.SampleRate {
 		return math.Inf(1)
@@ -56,16 +58,18 @@ func SpectralDistortion(a, b HRIR, loHz, hiHz float64) float64 {
 		if fr[i] < loHz || fr[i] > hiHz {
 			continue
 		}
-		sum += absLogRatio(al[i], bl[i]) + absLogRatio(ar[i], br[i])
+		l, r := logRatioDB(al[i], bl[i]), logRatioDB(ar[i], br[i])
+		sum += l*l + r*r
 		n += 2
 	}
 	if n == 0 {
 		return math.Inf(1)
 	}
-	return sum / float64(n)
+	return math.Sqrt(sum / float64(n))
 }
 
-func absLogRatio(x, y float64) float64 {
+// logRatioDB returns 20·log₁₀(x/y), each magnitude floored at 1e-9.
+func logRatioDB(x, y float64) float64 {
 	const floor = 1e-9
 	if x < floor {
 		x = floor
@@ -73,5 +77,5 @@ func absLogRatio(x, y float64) float64 {
 	if y < floor {
 		y = floor
 	}
-	return math.Abs(20 * math.Log10(x/y))
+	return 20 * math.Log10(x/y)
 }

@@ -65,6 +65,13 @@ func TestSpectralDistortion(t *testing.T) {
 	if math.Abs(d-6.02) > 0.3 {
 		t.Errorf("6 dB gain should read ~6 dB distortion, got %g", d)
 	}
+	// 6 dB on the left ear only: the RMS over both ears' bins is
+	// 6.02/√2 ≈ 4.26 dB, where a mean absolute difference reads 3.01.
+	g = h.Clone()
+	g.Left = dsp.Scale(g.Left, 2)
+	if d := SpectralDistortion(h, g, 200, 16000); math.Abs(d-6.02/math.Sqrt2) > 0.1 {
+		t.Errorf("6 dB on one ear should read ~%.2f dB RMS distortion, got %g", 6.02/math.Sqrt2, d)
+	}
 	// Mismatched rates are rejected.
 	bad := g.Clone()
 	bad.SampleRate = 44100

@@ -221,16 +221,27 @@ func (m *serviceMetrics) sceneStart(sources int) func() {
 	}
 }
 
-// countStreamFrame counts one frame (or AoA event) in the given direction.
-func (m *serviceMetrics) countStreamFrame(kind, dir string) {
-	m.streamFrames.With(kind, dir).Inc()
+// streamFrameMetrics are one session kind's frame counters and latency
+// histogram, looked up once when a session opens: a label lookup costs a
+// string join and a map probe, too much for every frame.
+type streamFrameMetrics struct {
+	in, out *obs.Counter // out counts AoA events for aoa sessions
+	latency *obs.Histogram
 }
 
-// observeStreamFrame counts one processed input frame and records its
-// processing latency.
-func (m *serviceMetrics) observeStreamFrame(kind string, seconds float64) {
-	m.streamFrames.With(kind, "in").Inc()
-	m.streamLatency.With(kind).Observe(seconds)
+func (m *serviceMetrics) streamFrameMetrics(kind string) streamFrameMetrics {
+	return streamFrameMetrics{
+		in:      m.streamFrames.With(kind, "in"),
+		out:     m.streamFrames.With(kind, "out"),
+		latency: m.streamLatency.With(kind),
+	}
+}
+
+// observe counts one processed input frame and records its processing
+// latency.
+func (f streamFrameMetrics) observe(seconds float64) {
+	f.in.Inc()
+	f.latency.Observe(seconds)
 }
 
 // addStreamDrops folds a finished session's overrun/underrun sample counts

@@ -323,3 +323,31 @@ func TestServerMetricsNewFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamFrameMetrics: the frame metrics a stream session resolves when
+// it opens count into its kind's series, and a frame's metric calls
+// allocate nothing.
+func TestStreamFrameMetrics(t *testing.T) {
+	svc, c := newTestServer(t)
+	frames := svc.metrics.streamFrameMetrics("aoa")
+	if allocs := testing.AllocsPerRun(100, func() {
+		frames.observe(2e-3)
+		frames.out.Inc()
+	}); allocs != 0 {
+		t.Errorf("a frame's metric calls allocate %v times", allocs)
+	}
+	m, err := c.MetricsJSON(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one warm-up call before its 100.
+	for key, want := range map[string]float64{
+		`uniqd_stream_frames_total{kind="aoa",dir="in"}`:  101,
+		`uniqd_stream_frames_total{kind="aoa",dir="out"}`: 101,
+		`uniqd_stream_frame_seconds_count{kind="aoa"}`:    101,
+	} {
+		if got := m[key]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"testing"
 
@@ -230,6 +231,77 @@ func FuzzProfileJSON(f *testing.F) {
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("writer:\n%q\nEncoder:\n%q", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// TestAppendJSONFloatMatchesStrconv: appendJSONFloat writes every double
+// it is given, with either sign, exactly as appendJSONFloatStrconv
+// (encoding/json's own code) does: on every power of two and both its
+// neighbours, so every binary exponent with its irregular spacing below
+// the power; on the first 100,000 positive bit patterns; on the integers
+// to 100,000 and their 1e-6 and 1e15 multiples; on both format cutoffs,
+// 1e-6 and 1e21, and their neighbours; and on 2,000,000 random bit
+// patterns.
+func TestAppendJSONFloatMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(f float64) {
+		t.Helper()
+		for _, x := range [2]float64{f, -f} {
+			got = appendJSONFloat(got[:0], x)
+			want = appendJSONFloatStrconv(want[:0], x)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%#016x: wrote %s, want %s", math.Float64bits(x), got, want)
+			}
+		}
+	}
+	withNeighbours := func(f float64) {
+		t.Helper()
+		check(math.Nextafter(f, 0))
+		check(f)
+		check(math.Nextafter(f, math.Inf(1)))
+	}
+	for e := -1074; e <= 1023; e++ {
+		withNeighbours(math.Ldexp(1, e))
+	}
+	for u := uint64(1); u <= 100_000; u++ {
+		check(math.Float64frombits(u))
+	}
+	for i := 1; i <= 100_000; i++ {
+		check(float64(i))
+		check(float64(i) * 1e-6)
+		check(float64(i) * 1e15)
+	}
+	withNeighbours(1e-6)
+	withNeighbours(1e21)
+	rng := rand.New(rand.NewPCG(23, 1))
+	for n := 0; n < 2_000_000; {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			check(f)
+			n++
+		}
+	}
+}
+
+// FuzzJSONFloat: appendJSONFloat writes every finite double, its bits read
+// from eight fuzz bytes, exactly as appendJSONFloatStrconv does.
+func FuzzJSONFloat(f *testing.F) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 5e-324, 8e-323,
+		math.Nextafter(0x1p-1022, 0), 0x1p-1022, math.Nextafter(0x1p-1022, 1),
+		math.Nextafter(1e-6, 0), 1e-6, math.Nextafter(1e-6, 1),
+		math.Nextafter(1e21, 0), 1e21, math.Nextafter(1e21, 1e22),
+		0x1p53 - 1, 0x1p53, math.Nextafter(0x1p53, 0x1p54), math.MaxFloat64,
+	} {
+		f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := (&fuzzProfile{b: data}).float()
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return
+		}
+		if got, want := appendJSONFloat(nil, x), appendJSONFloatStrconv(nil, x); !bytes.Equal(got, want) {
+			t.Fatalf("%#016x: wrote %s, want %s", math.Float64bits(x), got, want)
 		}
 	})
 }

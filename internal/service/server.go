@@ -410,6 +410,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		onePass, err = DecodeSubmit(body, &req)
 		s.metrics.countSubmitDecode(onePass)
 	}
+	if errors.Is(err, core.ErrInvalidSession) { // past a session cap
+		httpErrorCode(w, http.StatusBadRequest, CodeInvalidSession, "%v", err)
+		return
+	}
 	if !bodyOK(w, err) {
 		return
 	}

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzSubmitRequest drives arbitrary POST /v1/sessions bodies through the
@@ -11,6 +15,8 @@ import (
 // both reject, with the same error; an accepted body must decode to the
 // same value, Float64bits for Float64bits, nil and empty slices told
 // apart; and a body the one-pass decoder takes must be one json accepts.
+// The one exemption is a body DecodeSubmit refuses as past a session cap,
+// which must hold more objects than core.MaxSessionStops.
 // Nothing may panic, and every session Validate accepts must be one the
 // solver can index: a finite positive sample rate, a probe, an IMU log,
 // and at least one stop whose two channels are non-empty and equally long.
@@ -55,6 +61,12 @@ func FuzzSubmitRequest(f *testing.F) {
 			}
 		}
 		_, err := DecodeSubmit(body, &got)
+		if errors.Is(err, core.ErrInvalidSession) {
+			if n := bytes.Count(body, []byte{'{'}); n <= core.MaxSessionStops {
+				t.Fatalf("refused a body of %d objects as past a session cap: %v", n, err)
+			}
+			return
+		}
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("DecodeSubmit error %v, json.Unmarshal error %v", err, refErr)
 		}

@@ -101,6 +101,7 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
 		done()
 	}()
+	frames := s.metrics.streamFrameMetrics(kind)
 	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
 	rc := startStream(w, "application/octet-stream")
 
@@ -125,7 +126,7 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 			if err := writeFrame(w, frameAudio, outBytes); err != nil {
 				return false
 			}
-			s.metrics.countStreamFrame(kind, "out")
+			frames.out.Inc()
 		}
 	}
 	// feed pushes one source's mono chunk block by block, draining the
@@ -212,7 +213,7 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 			}
 			_ = rc.Flush()
 		}
-		s.metrics.observeStreamFrame(kind, time.Since(start).Seconds())
+		frames.observe(time.Since(start).Seconds())
 	}
 	sc.Flush()
 	drain()
@@ -352,6 +353,7 @@ func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "aoa tracker: %v", err)
 		return
 	}
+	frames := s.metrics.streamFrameMetrics("aoa")
 	rc := startStream(w, "application/x-ndjson")
 	done := s.metrics.streamStart("aoa")
 	defer func() {
@@ -391,10 +393,10 @@ func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 				if err := enc.Encode(ev); err != nil {
 					return
 				}
-				s.metrics.countStreamFrame("aoa", "out")
+				frames.out.Inc()
 			}
 		}
 		_ = rc.Flush()
-		s.metrics.observeStreamFrame("aoa", time.Since(start).Seconds())
+		frames.observe(time.Since(start).Seconds())
 	}
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf8"
 
@@ -19,14 +21,32 @@ import (
 // goes to json.Unmarshal. So an accepted body decodes bit for bit as
 // json.Unmarshal would decode it, and a rejected one fails with json's
 // error. onePass reports which path decoded the body.
+//
+// A session's stops and IMU samples are objects, each of which grows by
+// tens of bytes in memory, so both paths stop before holding more than
+// core.MaxSessionStops or core.MaxSessionIMUSamples of them and fail with
+// an error wrapping core.ErrInvalidSession: the one-pass decoder counts
+// the elements as it goes, and the fallback refuses a body with more '{'
+// bytes than a session at both caps has objects.
 func DecodeSubmit(body []byte, req *SubmitRequest) (onePass bool, err error) {
 	d := submitDecoder{b: body}
 	if d.request(req) {
 		return true, nil
 	}
 	*req = SubmitRequest{}
+	if d.err != nil {
+		return true, d.err
+	}
+	if n := bytes.Count(body, []byte{'{'}); n > maxSubmitObjects {
+		return false, fmt.Errorf("%w: body has %d '{' bytes, more than the %d objects of a session at the caps (%d stops, %d IMU samples)",
+			core.ErrInvalidSession, n, maxSubmitObjects, core.MaxSessionStops, core.MaxSessionIMUSamples)
+	}
 	return false, json.Unmarshal(body, req)
 }
+
+// maxSubmitObjects is the number of JSON objects in a submit at the
+// session caps: the request, its session, and one per stop and IMU sample.
+const maxSubmitObjects = 2 + core.MaxSessionStops + core.MaxSessionIMUSamples
 
 // The keys the one-pass decoder knows, per object, in exact case.
 var (
@@ -38,10 +58,11 @@ var (
 
 // submitDecoder walks a submit body. Each method reports false on
 // anything outside the shape DecodeSubmit accepts, which sends the body to
-// json.Unmarshal.
+// json.Unmarshal, or on an array past its cap, which sets err.
 type submitDecoder struct {
 	b   []byte
 	pos int
+	err error // the session cap the body exceeds
 }
 
 func (d *submitDecoder) request(req *SubmitRequest) bool {
@@ -63,9 +84,9 @@ func (d *submitDecoder) session(in *core.SessionInput) bool {
 		case "SampleRate":
 			return d.number(&in.SampleRate)
 		case "Stops":
-			return array(d, &in.Stops, 0, d.stop)
+			return array(d, &in.Stops, 0, core.MaxSessionStops, "measurement stops", d.stop)
 		case "IMU":
-			return array(d, &in.IMU, 0, d.imuSample)
+			return array(d, &in.IMU, 0, core.MaxSessionIMUSamples, "IMU samples", d.imuSample)
 		case "SystemIR":
 			return d.samples(&in.SystemIR)
 		}
@@ -106,13 +127,14 @@ func (d *submitDecoder) samples(dst *[]float64) bool {
 			n = min(bytes.Count(text[:end], []byte{','})+1, (end+1)/2)
 		}
 	}
-	return array(d, dst, n, d.number)
+	return array(d, dst, n, math.MaxInt, "", d.number)
 }
 
 // array decodes a JSON array, or null, into *dst one element at a time
 // through elem, starting from capacity n. An empty array is an empty,
-// non-nil slice and null leaves *dst nil, as in json.Unmarshal.
-func array[T any](d *submitDecoder, dst *[]T, n int, elem func(*T) bool) bool {
+// non-nil slice and null leaves *dst nil, as in json.Unmarshal. An array
+// of more than limit elements (what names them) sets d.err.
+func array[T any](d *submitDecoder, dst *[]T, n, limit int, what string, elem func(*T) bool) bool {
 	if d.null() {
 		return true
 	}
@@ -122,6 +144,10 @@ func array[T any](d *submitDecoder, dst *[]T, n int, elem func(*T) bool) bool {
 	s := make([]T, 0, n)
 	if !d.lit(']') {
 		for {
+			if len(s) == limit {
+				d.err = fmt.Errorf("%w: session has more than %d %s", core.ErrInvalidSession, limit, what)
+				return false
+			}
 			// elem decodes in place: a pointer to a local would move it
 			// to the heap, one allocation per element.
 			var zero T

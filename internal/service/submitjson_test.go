@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -195,10 +197,11 @@ func TestDecodeSubmitFallsBack(t *testing.T) {
 	}
 }
 
-// hostileSubmitBody is an n-byte submit whose probe array repeats elem,
-// e.g. "0," or ",", and ends in one 0.
-func hostileSubmitBody(n int, elem string) []byte {
-	const head, tail = `{"user":"a","input":{"Probe":[`, `0]}}`
+// hostileSubmitBody is an n-byte submit for user (the JSON text between
+// its quotes) whose key array repeats elem, e.g. "0," or "{},", and ends
+// in last.
+func hostileSubmitBody(n int, user, key, elem, last string) []byte {
+	head, tail := `{"user":"`+user+`","input":{"`+key+`":[`, last+`]}}`
 	reps := (n - len(head) - len(tail)) / len(elem)
 	var b bytes.Buffer
 	b.Grow(n)
@@ -209,20 +212,27 @@ func hostileSubmitBody(n int, elem string) []byte {
 }
 
 // TestDecodeSubmitBoundsHostileBodies: an 8 MiB body that is one long
-// sample array may make the decode allocate at most 4 bytes per body byte
-// (one float64 per two bytes of array text) plus a constant, whether the
-// array is numbers or only commas. The comma body still gets json's 400.
+// array may make the decode allocate at most 4 bytes per body byte (one
+// float64 per two bytes of array text) plus a constant: a sample array of
+// numbers or of bare commas, and a stop or IMU array of empty objects,
+// through the one-pass decoder or (the user spelled with an escape) the
+// json.Unmarshal fallback. The comma body still gets json's 400, and the
+// object bodies, past the session's stop or IMU cap, 400 invalid_session.
 func TestDecodeSubmitBoundsHostileBodies(t *testing.T) {
 	const size = 8 << 20
 	for _, tc := range []struct {
-		name, elem string
-		valid      bool
+		name, user, key, elem, last string
+		wantCode                    string // "" for a body that decodes
 	}{
-		{"zeros", "0,", true},
-		{"commas", ",", false},
+		{"zeros", "a", "Probe", "0,", "0", ""},
+		{"commas", "a", "Probe", ",", "0", CodeBadJSON},
+		{"stops", "a", "Stops", "{},", "{}", CodeInvalidSession},
+		{"imu", "a", "IMU", "{},", "{}", CodeInvalidSession},
+		{"stops-fallback", `\u0061`, "Stops", "{},", "{}", CodeInvalidSession},
+		{"imu-fallback", `\u0061`, "IMU", "{},", "{}", CodeInvalidSession},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			body := hostileSubmitBody(size, tc.elem)
+			body := hostileSubmitBody(size, tc.user, tc.key, tc.elem, tc.last)
 			var req SubmitRequest
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -232,25 +242,64 @@ func TestDecodeSubmitBoundsHostileBodies(t *testing.T) {
 			if alloc, limit := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(body))+1<<20; alloc > limit {
 				t.Errorf("decode of a %d-byte body allocated %d bytes, want <= %d", len(body), alloc, limit)
 			}
-			if tc.valid {
+			switch tc.wantCode {
+			case "":
 				if err != nil || 2*len(req.Input.Probe) < len(body)-64 {
 					t.Fatalf("decoded %d probe samples, err %v", len(req.Input.Probe), err)
 				}
 				return
-			}
-			want := json.Unmarshal(body, new(SubmitRequest))
-			if err == nil || want == nil || err.Error() != want.Error() {
-				t.Fatalf("error %v, want json's %v", err, want)
+			case CodeBadJSON:
+				want := json.Unmarshal(body, new(SubmitRequest))
+				if err == nil || want == nil || err.Error() != want.Error() {
+					t.Fatalf("error %v, want json's %v", err, want)
+				}
+			case CodeInvalidSession:
+				if !errors.Is(err, core.ErrInvalidSession) {
+					t.Fatalf("error %v, want an invalid session", err)
+				}
 			}
 			_, c := newTestServer(t)
 			resp, err := http.Post(c.BaseURL+"/v1/sessions", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
+			defer resp.Body.Close()
+			var e apiError
+			if resp.StatusCode != http.StatusBadRequest || json.NewDecoder(resp.Body).Decode(&e) != nil || e.Code != tc.wantCode {
+				t.Fatalf("status %d, body %+v; want 400 %s", resp.StatusCode, e, tc.wantCode)
 			}
 		})
+	}
+}
+
+// TestDecodeSubmitCaps: a session at the stop and IMU caps decodes and
+// validates on either path; one more stop or IMU sample is refused as an
+// invalid session, by the one-pass decoder as it counts, and by Validate
+// after the fallback, whose '{' count only bounds the objects.
+func TestDecodeSubmitCaps(t *testing.T) {
+	repeat := func(elem string, n int) string { return strings.Repeat(elem+",", n-1) + elem }
+	for _, tc := range []struct {
+		user        string
+		stops, imus int
+		ok, onePass bool
+	}{
+		{"a", core.MaxSessionStops, core.MaxSessionIMUSamples, true, true},
+		{"a", core.MaxSessionStops + 1, 1, false, true},
+		{"a", 1, core.MaxSessionIMUSamples + 1, false, true},
+		{`\u0061`, core.MaxSessionStops, core.MaxSessionIMUSamples, true, false},
+		{`\u0061`, core.MaxSessionStops + 1, 1, false, false},
+		{`\u0061`, 1, core.MaxSessionIMUSamples + 1, false, false},
+	} {
+		body := `{"user":"` + tc.user + `","input":{"Probe":[1],"SampleRate":48000,"Stops":[` +
+			repeat(`{"Left":[1],"Right":[1]}`, tc.stops) + `],"IMU":[` + repeat("{}", tc.imus) + `]}}`
+		var req SubmitRequest
+		onePass, err := DecodeSubmit([]byte(body), &req)
+		if err == nil {
+			err = req.Input.Validate()
+		}
+		if onePass != tc.onePass || (err == nil) != tc.ok || err != nil && !errors.Is(err, core.ErrInvalidSession) {
+			t.Errorf("user %s, %d stops, %d IMU samples: one pass %v, err %v; want one pass %v, ok %v",
+				tc.user, tc.stops, tc.imus, onePass, err, tc.onePass, tc.ok)
+		}
 	}
 }
