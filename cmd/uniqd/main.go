@@ -7,7 +7,8 @@
 // Usage:
 //
 //	uniqd [-addr :8080] [-dir ./profiles] [-workers N] [-queue N]
-//	      [-pipeline-workers N] [-job-timeout 10m] [-cache N] [-pprof]
+//	      [-pipeline-workers N] [-job-timeout 10m] [-drain-timeout 2m]
+//	      [-cache N] [-pprof]
 //	      [-prior] [-prior-refresh N] [-prior-min N]
 //	      [-store-segment-bytes N] [-store-compact-ratio R]
 //	      [-log-level info] [-log-format text] [-version]
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -94,7 +96,7 @@ func main() {
 		StoreSegmentBytes: *storeSegBytes,
 		StoreCompactRatio: *storeCompactRatio,
 		Workers:           *workers,
-		PipelineWorkers:   *pipelineWorkers,
+		Pipeline:          core.PipelineOptions{Workers: *pipelineWorkers},
 		QueueDepth:        *queue,
 		JobTimeout:        *jobTimeout,
 		PriorEnabled:      *priorEnabled,

@@ -69,7 +69,7 @@ func wantError(t *testing.T, resp *http.Response, status int, code string) {
 	if got := resp.Header.Get("Content-Type"); got != "application/json" {
 		t.Fatalf("error Content-Type = %q", got)
 	}
-	if e := decodeJSON[gwErrorBody](t, resp); e.Code != code {
+	if e := decodeJSON[errorBody](t, resp); e.Code != code {
 		t.Fatalf("error code = %q (%s), want %q", e.Code, e.Error, code)
 	}
 }

@@ -104,7 +104,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	mux.HandleFunc("GET /debug/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		gwError(w, http.StatusNotFound, service.CodeNoRoute, "no route for %s %s", r.Method, r.URL.Path)
+		service.WriteError(w, http.StatusNotFound, service.CodeNoRoute, "no route for %s %s", r.Method, r.URL.Path)
 	})
 	g.handler = g.instrument(mux)
 	return g, nil
@@ -150,23 +150,6 @@ func (g *Gateway) instrument(next *http.ServeMux) http.Handler {
 	})
 }
 
-// gwJSON / gwError mirror uniqd's uniform response shape so a caller sees
-// the same wire contract through the gateway as against a single node.
-func gwJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-type gwErrorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func gwError(w http.ResponseWriter, code int, errCode, format string, args ...any) {
-	gwJSON(w, code, gwErrorBody{Error: fmt.Sprintf(format, args...), Code: errCode})
-}
-
 // writeUpstream propagates a forwarding failure: an *APIError travels
 // through unchanged — status, code, message and Retry-After — so backend
 // backpressure (503 queue-full) reaches the external caller exactly as
@@ -181,10 +164,10 @@ func writeUpstream(w http.ResponseWriter, err error) {
 		if code == "" {
 			code = "upstream_error"
 		}
-		gwError(w, ae.StatusCode, code, "%s", ae.Message)
+		service.WriteError(w, ae.StatusCode, code, "%s", ae.Message)
 		return
 	}
-	gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
+	service.WriteError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
 }
 
 // report classifies one exchange for the breaker and metrics: any HTTP
@@ -294,7 +277,7 @@ var errNoNodes = errors.New("cluster: no available node for key")
 func writeForwardErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, errNoNodes) {
 		w.Header().Set("Retry-After", "1")
-		gwError(w, http.StatusServiceUnavailable, "no_nodes", "no available backend node")
+		service.WriteError(w, http.StatusServiceUnavailable, "no_nodes", "no available backend node")
 		return
 	}
 	writeUpstream(w, err)
@@ -306,7 +289,7 @@ func checkUser(w http.ResponseWriter, user string) bool {
 	if service.ValidUser(user) {
 		return true
 	}
-	gwError(w, http.StatusBadRequest, service.CodeBadUser, "%v: %q", service.ErrBadUser, user)
+	service.WriteError(w, http.StatusBadRequest, service.CodeBadUser, "%v: %q", service.ErrBadUser, user)
 	return false
 }
 
@@ -318,9 +301,9 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			gwError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
+			service.WriteError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
 		} else {
-			gwError(w, http.StatusBadRequest, service.CodeBadRequest, "read body: %v", err)
+			service.WriteError(w, http.StatusBadRequest, service.CodeBadRequest, "read body: %v", err)
 		}
 		return nil, false
 	}
@@ -336,7 +319,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	user, err := submitUser(body)
 	if err != nil {
-		gwError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
+		service.WriteError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
 		return
 	}
 	if !checkUser(w, user) {
@@ -356,14 +339,14 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	err = json.NewDecoder(a.resp.Body).Decode(&ack)
 	g.settle(a, err)
 	if err != nil {
-		gwError(w, http.StatusBadGateway, "node_unreachable", "read ack from %s: %v", a.node.Name, err)
+		service.WriteError(w, http.StatusBadGateway, "node_unreachable", "read ack from %s: %v", a.node.Name, err)
 		return
 	}
 	// Qualify the job ID with the accepting node so polls route back to it
 	// without a global job table.
 	ack.JobID = ack.JobID + "@" + a.node.Name
 	ack.StatusURL = "/v1/jobs/" + ack.JobID
-	gwJSON(w, a.resp.StatusCode, ack)
+	service.WriteJSON(w, a.resp.StatusCode, ack)
 }
 
 // submitUser returns the routing key of a POST /v1/sessions body: the value
@@ -408,14 +391,14 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	at := strings.LastIndex(id, "@")
 	if at <= 0 || at == len(id)-1 {
-		gwError(w, http.StatusNotFound, service.CodeJobNotFound,
+		service.WriteError(w, http.StatusNotFound, service.CodeJobNotFound,
 			"job id %q is not node-qualified (want <jobid>@<node>)", id)
 		return
 	}
 	bare, nodeName := id[:at], id[at+1:]
 	n, ok := g.reg.Node(nodeName)
 	if !ok {
-		gwError(w, http.StatusNotFound, service.CodeJobNotFound, "unknown node %q in job id", nodeName)
+		service.WriteError(w, http.StatusNotFound, service.CodeJobNotFound, "unknown node %q in job id", nodeName)
 		return
 	}
 	start := time.Now()
@@ -426,7 +409,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.ID = id // keep the node-qualified form callers poll with
-	gwJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
@@ -530,13 +513,13 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		g.metrics.fanParts.Inc()
 	}
 	slices.Sort(merged)
-	gwJSON(w, http.StatusOK, map[string][]string{"users": merged})
+	service.WriteJSON(w, http.StatusOK, map[string][]string{"users": merged})
 }
 
 // --- cluster introspection ---
 
 func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
-	gwJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"ring":  map[string]any{"nodes": g.reg.Ring().Nodes(), "vnodesPerNode": g.ringVNodes()},
 		"nodes": g.reg.Snapshot(),
 	})
@@ -551,7 +534,7 @@ func (g *Gateway) ringVNodes() int {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
-		gwJSON(w, http.StatusOK, g.metrics.reg.Flatten())
+		service.WriteJSON(w, http.StatusOK, g.metrics.reg.Flatten())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -570,10 +553,10 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if available == 0 {
 		body["status"] = "degraded"
 		w.Header().Set("Retry-After", "1")
-		gwJSON(w, http.StatusServiceUnavailable, body)
+		service.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	gwJSON(w, http.StatusOK, body)
+	service.WriteJSON(w, http.StatusOK, body)
 }
 
 // NodesView is the body of GET /v1/cluster/nodes.

@@ -117,6 +117,12 @@ func newTestGatewayWith(t *testing.T, tune func(*GatewayConfig), fakes ...*fakeN
 	return gw, front
 }
 
+// errorBody is the uniform error body every gateway and node error carries.
+type errorBody struct {
+	Error string `json:"error"`
+	Code  string `json:"code"`
+}
+
 func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -178,7 +184,7 @@ func TestGatewaySubmitRewritesJobID(t *testing.T) {
 	if got := resp.Header.Get("Content-Type"); got != "application/json" {
 		t.Fatalf("error Content-Type = %q", got)
 	}
-	e := decodeJSON[gwErrorBody](t, resp)
+	e := decodeJSON[errorBody](t, resp)
 	if e.Code != service.CodeJobNotFound {
 		t.Fatalf("error code = %q, want %q", e.Code, service.CodeJobNotFound)
 	}
@@ -203,7 +209,7 @@ func TestGatewayBackpressurePropagates(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want the backend's 7", got)
 	}
-	e := decodeJSON[gwErrorBody](t, resp)
+	e := decodeJSON[errorBody](t, resp)
 	if e.Code != service.CodeQueueFull {
 		t.Fatalf("error code = %q, want %q", e.Code, service.CodeQueueFull)
 	}
@@ -296,7 +302,7 @@ func TestGatewayOwner404FallsThrough(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", resp.StatusCode)
 	}
-	e := decodeJSON[gwErrorBody](t, resp)
+	e := decodeJSON[errorBody](t, resp)
 	if e.Code != service.CodeProfileNotFound {
 		t.Fatalf("error code = %q, want %q", e.Code, service.CodeProfileNotFound)
 	}
@@ -407,7 +413,7 @@ func TestGatewayJSON404(t *testing.T) {
 	if got := resp.Header.Get("Content-Type"); got != "application/json" {
 		t.Fatalf("Content-Type = %q, want application/json", got)
 	}
-	e := decodeJSON[gwErrorBody](t, resp)
+	e := decodeJSON[errorBody](t, resp)
 	if e.Code != service.CodeNoRoute {
 		t.Fatalf("code = %q, want %q", e.Code, service.CodeNoRoute)
 	}
@@ -454,7 +460,7 @@ func TestGatewayHealthDegrades(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	e := decodeJSON[gwErrorBody](t, resp)
+	e := decodeJSON[errorBody](t, resp)
 	if e.Code != "no_nodes" {
 		t.Fatalf("code = %q, want no_nodes", e.Code)
 	}

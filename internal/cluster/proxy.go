@@ -42,7 +42,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	out, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		n.BaseURL+r.URL.EscapedPath()+queryOf(r), r.Body)
 	if err != nil {
-		gwError(w, http.StatusInternalServerError, service.CodeInternal, "build upstream request: %v", err)
+		service.WriteError(w, http.StatusInternalServerError, service.CodeInternal, "build upstream request: %v", err)
 		return outcomeTransport
 	}
 	out.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -56,7 +56,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	}
 	resp, err := client.Do(out)
 	if err != nil {
-		gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
+		service.WriteError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
 		return g.failed(r.Context(), n, err)
 	}
 	defer resp.Body.Close()
@@ -85,7 +85,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 	// backend's response — the stream protocol interleaves both directions.
 	if err := rc.EnableFullDuplex(); err != nil {
 		w.Header().Set("Connection", "close")
-		gwError(w, http.StatusInternalServerError, service.CodeInternal, "full-duplex relay unsupported: %v", err)
+		service.WriteError(w, http.StatusInternalServerError, service.CodeInternal, "full-duplex relay unsupported: %v", err)
 		return outcomeTransport
 	}
 	w.WriteHeader(resp.StatusCode)

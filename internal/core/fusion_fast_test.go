@@ -140,9 +140,9 @@ func TestFuseSensorsFastPriorWarmStart(t *testing.T) {
 	}
 
 	good := &prior.Model{
-		Version: prior.Version, Count: 12,
-		Mean: [3]float64{0.103, 0.083, 0.096},
-		Std:  [3]float64{0.004, 0.004, 0.004},
+		Count: 12,
+		Mean:  [3]float64{0.103, 0.083, 0.096},
+		Std:   [3]float64{0.004, 0.004, 0.004},
 	}
 	warm, err := FuseSensors(obs, FusionOptions{Prior: good})
 	if err != nil {
@@ -163,9 +163,9 @@ func TestFuseSensorsFastPriorWarmStart(t *testing.T) {
 	// bounds. The warm start may cost evaluations but the fine simplex must
 	// still pull the fit back toward the truth.
 	bad := &prior.Model{
-		Version: prior.Version, Count: 12,
-		Mean: [3]float64{0.072, 0.057, 0.070},
-		Std:  [3]float64{0.001, 0.001, 0.001},
+		Count: 12,
+		Mean:  [3]float64{0.072, 0.057, 0.070},
+		Std:   [3]float64{0.001, 0.001, 0.001},
 	}
 	misled, err := FuseSensors(obs, FusionOptions{Prior: bad})
 	if err != nil {
@@ -178,7 +178,7 @@ func TestFuseSensorsFastPriorWarmStart(t *testing.T) {
 	}
 
 	// An empty model must behave exactly like no prior at all.
-	empty, err := FuseSensors(obs, FusionOptions{Prior: &prior.Model{Version: prior.Version}})
+	empty, err := FuseSensors(obs, FusionOptions{Prior: &prior.Model{}})
 	if err != nil {
 		t.Fatal(err)
 	}

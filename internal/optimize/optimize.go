@@ -438,7 +438,7 @@ type CascadeLevel struct {
 // MinimizeCascade runs a coarse-to-fine minimization: cheap low-resolution
 // objectives explore, the final full-resolution objective polishes. warm
 // points (clamped into bounds) join the first level's candidate set — a
-// population-prior prediction slots in here. The result is the best
+// population prior's prediction slots in here. The result is the best
 // survivor of the last level under the last level's objective, with Evals
 // totalled across every level. For deterministic objectives the outcome is
 // bit-identical at any worker count.

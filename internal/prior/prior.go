@@ -12,27 +12,14 @@ package prior
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/dsp"
 	"repro/internal/head"
 	"repro/internal/hrtf"
 	"repro/internal/linalg"
 )
-
-// FileName is the canonical on-disk name of a persisted prior, stored
-// alongside the profile store. The leading dot keeps it out of the store's
-// user listing, and the name deliberately avoids the store's ".tmp-"
-// staging pattern so the startup sweep never deletes it.
-const FileName = ".population-prior.json"
-
-// Version is the persisted schema version; Load rejects mismatches.
-const Version = 1
 
 // ErrNoSamples is returned by Fit when there is nothing to fit.
 var ErrNoSamples = errors.New("prior: no samples to fit")
@@ -60,29 +47,28 @@ type FitOptions struct {
 	Ridge float64
 }
 
-// Model is a fitted population prior. All fields are exported for JSON
-// persistence; treat a loaded model as read-only.
+// Model is a fitted population prior. Treat a published model as
+// read-only.
 type Model struct {
-	Version int `json:"version"`
 	// Count is how many samples the fit saw.
-	Count int `json:"count"`
+	Count int
 	// WeightSum is the total quality weight behind Mean (Count scaled by
 	// residual quality).
-	WeightSum float64 `json:"weightSum"`
+	WeightSum float64
 	// Mean and Std are the weighted mean and per-dimension standard
 	// deviation of E = (a, b, c), metres.
-	Mean [3]float64 `json:"mean"`
-	Std  [3]float64 `json:"std"`
+	Mean [3]float64
+	Std  [3]float64
 	// Components are the principal axes of the E covariance (unit rows,
 	// descending eigenvalue) and Eigenvalues their variances.
-	Components  [][]float64 `json:"components,omitempty"`
-	Eigenvalues []float64   `json:"eigenvalues,omitempty"`
+	Components  [][]float64
+	Eigenvalues []float64
 	// SpecMean is the mean spectral signature and SpecMap the least-squares
 	// linear map from centered E to centered signature: predicted[b] =
 	// SpecMean[b] + Σ_j SpecMap[b][j]·(E_j − Mean_j). Empty when too few
 	// samples carried spectra.
-	SpecMean []float64   `json:"specMean,omitempty"`
-	SpecMap  [][]float64 `json:"specMap,omitempty"`
+	SpecMean []float64
+	SpecMap  [][]float64
 }
 
 // trust-region shaping: the grid shrinks to KSigma standard deviations per
@@ -111,7 +97,7 @@ func Fit(samples []Sample, opt FitOptions) (*Model, error) {
 	if ridge <= 0 {
 		ridge = 1e-6
 	}
-	m := &Model{Version: Version, Count: len(samples)}
+	m := &Model{Count: len(samples)}
 	weight := func(s Sample) float64 {
 		r := s.ResidualDeg / scale
 		return 1 / (1 + r*r)
@@ -370,60 +356,6 @@ func (s *Sample) UnmarshalBinary(b []byte) error {
 	}
 	*s = out
 	return nil
-}
-
-// Save atomically persists the model next to the profile store: it stages
-// into a ".tmp-" file (the same pattern the store's startup sweep cleans
-// up after crashes) and renames into place.
-func Save(path string, m *Model) error {
-	if m == nil {
-		return errors.New("prior: cannot save a nil model")
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load reads a model persisted by Save. A missing file surfaces as
-// os.ErrNotExist (callers treat that as a cold start).
-func Load(path string) (*Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("prior: corrupt model at %s: %w", path, err)
-	}
-	if m.Version != Version {
-		return nil, fmt.Errorf("prior: model version %d, want %d", m.Version, Version)
-	}
-	if m.Count <= 0 {
-		return nil, fmt.Errorf("prior: model at %s has no samples", path)
-	}
-	return &m, nil
 }
 
 // jacobiEigen diagonalizes a symmetric 3×3 matrix by cyclic Jacobi

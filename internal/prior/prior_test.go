@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dsp"
@@ -147,7 +145,7 @@ func TestFitDownweightsNoisyProfiles(t *testing.T) {
 }
 
 func TestTrustRegionClampsToBounds(t *testing.T) {
-	m := &Model{Version: Version, Count: 5, Mean: [3]float64{0.071, 0.099, 0.090}, Std: [3]float64{0.02, 0.02, 0}}
+	m := &Model{Count: 5, Mean: [3]float64{0.071, 0.099, 0.090}, Std: [3]float64{0.02, 0.02, 0}}
 	lo := head.Params{A: 0.070, B: 0.055, C: 0.068}
 	hi := head.Params{A: 0.125, B: 0.100, C: 0.120}
 	tlo, thi := m.TrustRegion(lo, hi)
@@ -156,50 +154,6 @@ func TestTrustRegionClampsToBounds(t *testing.T) {
 	}
 	if !(tlo.A < thi.A && tlo.B < thi.B && tlo.C < thi.C) {
 		t.Errorf("trust region degenerate after clamping: %+v .. %+v", tlo, thi)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m, err := Fit(synthSamples(40, rng), FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), FileName)
-	if err := Save(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count != m.Count || got.Mean != m.Mean || got.Std != m.Std {
-		t.Errorf("round trip changed the model: %+v vs %+v", got, m)
-	}
-	// No staging litter left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("staging litter after Save: %v", entries)
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Load(filepath.Join(dir, FileName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("missing file: %v, want ErrNotExist", err)
-	}
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	if _, err := Load(bad); err == nil {
-		t.Error("corrupt file should fail")
-	}
-	stale := filepath.Join(dir, "stale.json")
-	os.WriteFile(stale, []byte(`{"version":99,"count":3}`), 0o644)
-	if _, err := Load(stale); err == nil {
-		t.Error("version mismatch should fail")
 	}
 }
 

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/prior"
 )
 
 // TestPoolRetentionBounded drives finish() well past the retention cap and
@@ -74,52 +71,6 @@ func TestPoolRetentionBounded(t *testing.T) {
 	}
 	if head >= retainedJobs {
 		t.Errorf("dead prefix reached %d without compaction", head)
-	}
-}
-
-// TestOpenStoreSweepsStaleStaging simulates a crash between CreateTemp and
-// Rename: reopening the store must remove the abandoned staging files
-// (prior.Save stages the population prior in the store directory), leave
-// the committed prior and unrelated dotfiles alone, and keep serving
-// committed profiles.
-func TestOpenStoreSweepsStaleStaging(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(sampleProfile("alice")); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{".alice.tmp-123456", ".bob.tmp-9", prior.FileName + ".tmp-1"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn write"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := filepath.Join(dir, ".keep")
-	if err := os.WriteFile(keep, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	committedPrior := filepath.Join(dir, prior.FileName)
-	if err := os.WriteFile(committedPrior, []byte(`{"k":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale, _ := filepath.Glob(filepath.Join(dir, ".*.tmp-*")); len(stale) != 0 {
-		t.Errorf("staging litter survived reopen: %v", stale)
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Errorf("unrelated dotfile swept: %v", err)
-	}
-	if _, err := os.Stat(committedPrior); err != nil {
-		t.Errorf("committed population prior swept: %v", err)
-	}
-	if got, err := s2.Get("alice"); err != nil || got.User != "alice" {
-		t.Errorf("committed profile lost across reopen: %v", err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"errors"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -25,14 +22,14 @@ func priorSampleOf(p *StoredProfile) prior.Sample {
 	}
 }
 
-// priorManager owns the service's population prior: one model loaded (or
-// fitted) at startup, swapped atomically on every background refit, and
-// persisted under the store directory so the next process starts warm. The
-// model itself is immutable once published; solvers read whatever version
-// is current when their job starts.
+// priorManager owns the service's population prior: one model fitted at
+// startup from the samples the stored records carry, then swapped
+// atomically on every background refit. Nothing is written to disk: the
+// store's index is the only copy of the inputs, so every start refits over
+// every stored profile. The model itself is immutable once published;
+// solvers read whatever version is current when their job starts.
 type priorManager struct {
 	store *Store
-	path  string
 	min   int // fewest profiles worth fitting over
 	every int // refit after this many newly stored profiles
 	log   *slog.Logger
@@ -59,23 +56,11 @@ func newPriorManager(store *Store, refreshEvery, minProfiles int, log *slog.Logg
 	}
 	m := &priorManager{
 		store: store,
-		path:  filepath.Join(store.Dir(), prior.FileName),
 		min:   minProfiles,
 		every: refreshEvery,
 		log:   log,
 	}
-	// Warm start: a persisted model wins (it is exactly what the last
-	// process fitted); otherwise fit once from the samples the stored
-	// records carry.
-	if pm, err := prior.Load(m.path); err == nil {
-		m.model.Store(pm)
-		m.log.Info("population prior loaded", "path", m.path, "profiles", pm.Count)
-	} else {
-		if !errors.Is(err, os.ErrNotExist) {
-			m.log.Warn("population prior unreadable, refitting", "path", m.path, "err", err)
-		}
-		m.refit()
-	}
+	m.refit()
 	return m
 }
 
@@ -134,10 +119,6 @@ func (m *priorManager) refit() {
 	if err != nil {
 		m.log.Warn("prior refit failed", "profiles", len(samples), "err", err)
 		return
-	}
-	if err := prior.Save(m.path, model); err != nil {
-		m.log.Warn("prior persist failed", "path", m.path, "err", err)
-		// Still publish: the fit is good even if the disk is not.
 	}
 	m.model.Store(model)
 	m.log.Info("population prior refitted", "profiles", model.Count,

@@ -125,7 +125,7 @@ func cacheOf(s *Store) cacheState {
 
 func startPriorService(t *testing.T, dir string) *Service {
 	t.Helper()
-	svc, err := New(Config{StoreDir: dir, Workers: 1, PriorEnabled: true, run: (&priorProbe{}).run})
+	svc, err := New(Config{StoreDir: dir, Workers: 1, PriorEnabled: true, Solver: (&priorProbe{}).run})
 	if err != nil {
 		t.Fatal(err)
 	}

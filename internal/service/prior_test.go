@@ -69,23 +69,20 @@ func waitPrior(svc *Service, d time.Duration) *prior.Model {
 	return nil
 }
 
-// TestPriorLifecycle walks the population prior through its whole life:
-// cold start (no profiles, solves run without a prior), warm-up (refits
-// kick in once the store crosses the minimum), injection (later solves see
-// the model), persistence (the model file lives beside the profiles,
-// hidden from the user listing), and reload (a fresh service starts warm).
+// TestPriorLifecycle walks the population prior through one process's
+// life: cold start (no profiles, solves run without a prior), warm-up
+// (refits kick in once the store crosses the minimum) and injection (later
+// solves see the model). TestPriorRefitsAtEveryStart covers restarts.
 func TestPriorLifecycle(t *testing.T) {
-	dir := t.TempDir()
 	probe := &priorProbe{}
-	cfg := Config{
-		StoreDir:          dir,
+	svc, err := New(Config{
+		StoreDir:          t.TempDir(),
 		Workers:           1,
 		PriorEnabled:      true,
 		PriorRefreshEvery: 1,
 		PriorMinProfiles:  2,
-		run:               probe.run,
-	}
-	svc, err := New(cfg)
+		Solver:            probe.run,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,47 +115,17 @@ func TestPriorLifecycle(t *testing.T) {
 		t.Error("third solve should have been warm-started")
 	}
 
-	// Persisted beside the profiles, hidden from the user listing.
-	path := filepath.Join(dir, prior.FileName)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("prior not persisted: %v", err)
-	}
 	users, err := svc.Store().Users()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range users {
-		if u == "" || u[0] == '.' {
-			t.Errorf("prior file leaked into the user listing: %q", u)
-		}
-	}
 	if len(users) != 3 {
 		t.Errorf("store lists %d users, want 3: %v", len(users), users)
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
-	}
-
-	// A fresh service over the same directory loads the persisted model
-	// immediately — OpenStore's staging sweep must not eat it.
-	svc2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = svc2.Shutdown(ctx)
-	}()
-	m2 := svc2.PriorModel()
-	if m2 == nil {
-		t.Fatal("restarted service did not load the persisted prior")
-	}
-	if m2.Count < 2 {
-		t.Errorf("reloaded prior count %d, want >= 2", m2.Count)
 	}
 }
 
@@ -173,7 +140,7 @@ func TestPriorSingleProfile(t *testing.T) {
 		PriorEnabled:      true,
 		PriorRefreshEvery: 1,
 		PriorMinProfiles:  1,
-		run:               probe.run,
+		Solver:            probe.run,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +167,10 @@ func TestPriorSingleProfile(t *testing.T) {
 	}
 }
 
-// TestPriorDisabled pins the default-off path: no model, no file, no
-// injection.
+// TestPriorDisabled pins the default-off path: no model, no injection.
 func TestPriorDisabled(t *testing.T) {
-	dir := t.TempDir()
 	probe := &priorProbe{}
-	svc, err := New(Config{StoreDir: dir, Workers: 1, run: probe.run})
+	svc, err := New(Config{StoreDir: t.TempDir(), Workers: 1, Solver: probe.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +185,90 @@ func TestPriorDisabled(t *testing.T) {
 	if m := svc.PriorModel(); m != nil {
 		t.Errorf("disabled prior published a model: %+v", m)
 	}
-	if _, err := os.Stat(filepath.Join(dir, prior.FileName)); !os.IsNotExist(err) {
-		t.Errorf("disabled prior left a file on disk: %v", err)
-	}
 	for i, p := range probe.priors {
 		if p != nil {
 			t.Errorf("solve %d received a prior while disabled", i)
 		}
+	}
+}
+
+// TestPriorRefitsAtEveryStart: a node restarted after a put that did not
+// trigger a refit publishes a model over every stored profile, the prior
+// writes nothing beside the store's segments, and a model file left in the
+// directory by an older build is ignored.
+func TestPriorRefitsAtEveryStart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		StoreDir:          dir,
+		Workers:           1,
+		PriorEnabled:      true,
+		PriorRefreshEvery: 2,
+		PriorMinProfiles:  2,
+		Solver:            (&priorProbe{}).run,
+	}
+	start := func() *Service {
+		t.Helper()
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	stop := func(svc *Service) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// restartCovers restarts the node and requires its model to cover every
+	// stored profile, bit for bit as a fit over the decoded profiles.
+	restartCovers := func() {
+		t.Helper()
+		svc := start()
+		defer stop(svc)
+		users, err := svc.Store().Users()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := svc.PriorModel()
+		if m == nil || m.Count != len(users) {
+			t.Fatalf("restarted node's prior %+v, want one over all %d stored profiles", m, len(users))
+		}
+		sameModel(t, m, referenceModel(t, dir))
+	}
+
+	svc := start()
+	submitAndWait(t, svc, "u1")
+	submitAndWait(t, svc, "u2") // the second put refits over two profiles
+	if m := waitPrior(svc, 5*time.Second); m == nil || m.Count != 2 {
+		t.Fatalf("prior after two puts: %+v, want one over 2 profiles", m)
+	}
+	submitAndWait(t, svc, "u3") // one put short of the next refit
+	if m := svc.PriorModel(); m.Count != 2 {
+		t.Fatalf("a put below the refresh count refitted: %d profiles", m.Count)
+	}
+	stop(svc)
+	restartCovers()
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if ok, _ := filepath.Match("seg-*.uqs", e.Name()); !ok || e.IsDir() {
+			t.Errorf("store directory holds %q besides its segments", e.Name())
+		}
+	}
+
+	// A model file an older build persisted, valid but over one profile.
+	leftover := filepath.Join(dir, ".population-prior.json")
+	if err := os.WriteFile(leftover, []byte(`{"version":1,"count":1,"weightSum":1,"mean":[0.1,0.08,0.09],"std":[0,0,0]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restartCovers()
+	if _, err := os.Stat(leftover); err != nil {
+		t.Errorf("the leftover model file was removed: %v", err)
 	}
 }

@@ -34,17 +34,14 @@ type Config struct {
 	Workers    int
 	QueueDepth int
 	JobTimeout time.Duration
-	// Pipeline is applied to every personalization solve.
+	// Pipeline is applied to every personalization solve. Its Workers
+	// sizes each solve's own worker pool, independent of Workers
+	// (concurrent solves): total parallelism is roughly the product.
 	Pipeline core.PipelineOptions
-	// PipelineWorkers overrides Pipeline.Workers when non-zero: the size
-	// of the per-solve worker pool that fans channel estimation and the
-	// fusion seeding grid across cores. Independent of Workers (concurrent
-	// solves): total parallelism is roughly Workers × PipelineWorkers.
-	PipelineWorkers int
 	// PriorEnabled turns on the population prior: at startup the service
-	// loads (or fits from stored profiles) a model persisted under the
-	// store directory, injects it into every non-exact fusion solve as a
-	// warm start, and refits it in the background as profiles accumulate.
+	// fits a model over the samples the stored records carry, injects it
+	// into every non-exact fusion solve as a warm start, and refits it in
+	// the background as profiles accumulate. Nothing is written to disk.
 	PriorEnabled bool
 	// PriorRefreshEvery refits the prior after that many newly stored
 	// profiles (default 16).
@@ -64,10 +61,6 @@ type Config struct {
 	// use it to stand up real uniqd nodes with deterministic, instant (or
 	// deliberately blocked) solves.
 	Solver func(context.Context, core.SessionInput, core.PipelineOptions) (*core.Personalization, error)
-
-	// run overrides the solver (in-package tests); Solver wins when both
-	// are set.
-	run func(context.Context, core.SessionInput, core.PipelineOptions) (*core.Personalization, error)
 }
 
 // maxRenderSamples bounds POST .../render input so one request cannot
@@ -94,12 +87,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	if cfg.PipelineWorkers != 0 {
-		cfg.Pipeline.Workers = cfg.PipelineWorkers
-	}
-	if cfg.Solver != nil {
-		cfg.run = cfg.Solver
-	}
 	// One registry per service instance: the HTTP middleware, the pool/store
 	// views and the pipeline stage histograms all land in it, and
 	// /debug/metrics scrapes it. The pipeline observer is installed before
@@ -118,6 +105,7 @@ func New(cfg Config) (*Service, error) {
 	var (
 		pm       *priorManager
 		onStored func(*StoredProfile)
+		run      = cfg.Solver
 	)
 	if cfg.PriorEnabled {
 		pm = newPriorManager(store, cfg.PriorRefreshEvery, cfg.PriorMinProfiles, cfg.Logger)
@@ -125,11 +113,11 @@ func New(cfg Config) (*Service, error) {
 		// Inject the current model into every solve. The exact path ignores
 		// FusionOptions.Prior, so the frozen bit-exact mode stays frozen
 		// even with the prior enabled.
-		inner := cfg.run
+		inner := run
 		if inner == nil {
 			inner = core.PersonalizeContext
 		}
-		cfg.run = func(ctx context.Context, in core.SessionInput, opt core.PipelineOptions) (*core.Personalization, error) {
+		run = func(ctx context.Context, in core.SessionInput, opt core.PipelineOptions) (*core.Personalization, error) {
 			if m := pm.current(); m.Usable() && opt.Fusion.Prior == nil {
 				opt.Fusion.Prior = m
 			}
@@ -143,7 +131,7 @@ func New(cfg Config) (*Service, error) {
 		Pipeline:   cfg.Pipeline,
 		Store:      store,
 		Logger:     cfg.Logger,
-		run:        cfg.run,
+		run:        run,
 		onStored:   onStored,
 	})
 	if err != nil {
@@ -174,7 +162,7 @@ func New(cfg Config) (*Service, error) {
 	// (Content-Type and code included) as every other error path, instead
 	// of the mux's text/plain 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		httpErrorCode(w, http.StatusNotFound, CodeNoRoute, "no route for %s %s", r.Method, r.URL.Path)
+		WriteError(w, http.StatusNotFound, CodeNoRoute, "no route for %s %s", r.Method, r.URL.Path)
 	})
 	s.handler = s.instrument(mux)
 	return s, nil
@@ -183,14 +171,14 @@ func New(cfg Config) (*Service, error) {
 // Handler returns the service's HTTP handler.
 func (s *Service) Handler() http.Handler { return s.handler }
 
-// Store exposes the profile store (the daemon reports its directory; tests
+// Store exposes the profile store (the daemon counts its profiles; tests
 // inspect it).
 func (s *Service) Store() *Store { return s.store }
 
 // Pool exposes the job pool.
 func (s *Service) Pool() *Pool { return s.pool }
 
-// PriorModel returns the current population-prior model, or nil when the
+// PriorModel returns the current population prior model, or nil when the
 // prior is disabled or still cold (too few stored profiles).
 func (s *Service) PriorModel() *prior.Model {
 	if s.prior == nil {
@@ -350,19 +338,22 @@ func defaultErrCode(status int) string {
 
 // --- helpers ---
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v as a JSON body. uniqd and
+// uniqgw both answer through it, so the two share one wire shape.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the connection is the client's problem at this point
+	_ = json.NewEncoder(w).Encode(v) // the connection is the client's problem at this point
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	httpErrorCode(w, code, defaultErrCode(code), format, args...)
+	WriteError(w, code, defaultErrCode(code), format, args...)
 }
 
-func httpErrorCode(w http.ResponseWriter, code int, errCode, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...), Code: errCode})
+// WriteError answers with status code and the uniform error body: the
+// formatted message and the machine-readable errCode.
+func WriteError(w http.ResponseWriter, code int, errCode, format string, args ...any) {
+	WriteJSON(w, code, apiError{Error: fmt.Sprintf(format, args...), Code: errCode})
 }
 
 // bodyOK answers a failed read or decode of a JSON request body (one
@@ -375,9 +366,9 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		httpErrorCode(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
 	} else {
-		httpErrorCode(w, http.StatusBadRequest, CodeBadJSON, "bad JSON body: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON body: %v", err)
 	}
 	return false
 }
@@ -388,10 +379,10 @@ func (s *Service) profileFor(w http.ResponseWriter, user string) *StoredProfile 
 	p, err := s.store.Get(user)
 	switch {
 	case errors.Is(err, ErrBadUser):
-		httpErrorCode(w, http.StatusBadRequest, CodeBadUser, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadUser, "%v", err)
 		return nil
 	case errors.Is(err, ErrProfileNotFound):
-		httpErrorCode(w, http.StatusNotFound, CodeProfileNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, CodeProfileNotFound, "%v", err)
 		return nil
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
@@ -411,37 +402,37 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.countSubmitDecode(onePass)
 	}
 	if errors.Is(err, core.ErrInvalidSession) { // past a session cap
-		httpErrorCode(w, http.StatusBadRequest, CodeInvalidSession, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSession, "%v", err)
 		return
 	}
 	if !bodyOK(w, err) {
 		return
 	}
 	if routed := r.Header.Get(RoutedUserHeader); routed != "" && routed != req.User {
-		httpErrorCode(w, http.StatusBadRequest, CodeBadUser,
+		WriteError(w, http.StatusBadRequest, CodeBadUser,
 			"%v: body user %q is not the routed user %q", ErrBadUser, req.User, routed)
 		return
 	}
 	st, err := s.pool.Submit(req.User, req.Input)
 	switch {
 	case errors.Is(err, ErrBadUser):
-		httpErrorCode(w, http.StatusBadRequest, CodeBadUser, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadUser, "%v", err)
 		return
 	case errors.Is(err, core.ErrInvalidSession):
-		httpErrorCode(w, http.StatusBadRequest, CodeInvalidSession, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSession, "%v", err)
 		return
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		httpErrorCode(w, http.StatusServiceUnavailable, CodeQueueFull, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeQueueFull, "%v", err)
 		return
 	case errors.Is(err, ErrPoolClosed):
-		httpErrorCode(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
 		return
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{
 		JobID:     st.ID,
 		State:     st.State,
 		StatusURL: "/v1/jobs/" + st.ID,
@@ -452,10 +443,10 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.pool.Job(id)
 	if !ok {
-		httpErrorCode(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", id)
+		WriteError(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleProfiles(w http.ResponseWriter, r *http.Request) {
@@ -467,7 +458,7 @@ func (s *Service) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if users == nil {
 		users = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"users": users})
+	WriteJSON(w, http.StatusOK, map[string][]string{"users": users})
 }
 
 func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
@@ -511,7 +502,7 @@ func (s *Service) handleAoA(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "aoa estimation failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, AoAResponse{
+	WriteJSON(w, http.StatusOK, AoAResponse{
 		AngleDeg: est.AngleDeg,
 		Score:    est.Score,
 		Front:    core.FrontBack(est.AngleDeg),
@@ -551,7 +542,7 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "render failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RenderResponse{
+	WriteJSON(w, http.StatusOK, RenderResponse{
 		Left:       left,
 		Right:      right,
 		SampleRate: p.Table.SampleRate,
@@ -562,7 +553,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
 		// The pre-registry JSON shape: one flat name -> value object. Kept
 		// for scripts that scraped the old hand-rolled endpoint.
-		writeJSON(w, http.StatusOK, s.metrics.reg.Flatten())
+		WriteJSON(w, http.StatusOK, s.metrics.reg.Flatten())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -604,5 +595,5 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }

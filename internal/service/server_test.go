@@ -19,7 +19,7 @@ func newTestServer(t *testing.T) (*Service, *Client) {
 	svc, err := New(Config{
 		StoreDir: t.TempDir(),
 		Workers:  2,
-		run: func(ctx context.Context, in core.SessionInput, opt core.PipelineOptions) (*core.Personalization, error) {
+		Solver: func(ctx context.Context, in core.SessionInput, opt core.PipelineOptions) (*core.Personalization, error) {
 			return fakeResult(), nil
 		},
 	})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -45,7 +44,6 @@ func ValidUser(user string) bool {
 // Profiles returned by Get are shared: callers must treat them (and their
 // tables) as read-only.
 type Store struct {
-	dir string
 	cap int
 	seg *segstore.Store
 
@@ -97,13 +95,11 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 	if cacheCap <= 0 {
 		cacheCap = 128
 	}
-	sweepStaging(dir)
 	seg, err := segstore.Open(dir, opt)
 	if err != nil {
 		return nil, fmt.Errorf("service: open segment store: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
 		cap:      cacheCap,
 		seg:      seg,
 		byKey:    make(map[string]*list.Element),
@@ -114,29 +110,8 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 	return s, nil
 }
 
-// sweepStaging removes staging files abandoned by a crash between
-// CreateTemp and Rename: prior.Save stages the population prior as
-// ".population-prior.json.tmp-*" in the store directory. Best-effort: a
-// racing removal or permission error just leaves the file for the next
-// open.
-func sweepStaging(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-") {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Put persists a profile and caches it. The profile must carry a valid
-// user and a table. The record carries the profile's population-prior
+// user and a table. The record carries the profile's population prior
 // sample as its summary, so prior refits never decode it. The disk write
 // runs without the cache lock, so cached reads never stall behind a slow
 // device.
@@ -224,7 +199,7 @@ type legacySample struct {
 	sample prior.Sample
 }
 
-// PriorSamples returns every stored profile's population-prior sample, in
+// PriorSamples returns every stored profile's population prior sample, in
 // sorted user order, from the summaries the records carry: an index walk
 // that decodes no profile and leaves the LRU untouched. A record without a
 // summary is decoded straight from the segment store, past the LRU, and

@@ -156,7 +156,8 @@ func TestStoreRejectsBadInput(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 2)
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Fatalf("Users() = %v, want 4 entries", users)
 	}
 	// No temp litter left behind by atomic writes.
-	tmps, _ := filepath.Glob(filepath.Join(s.Dir(), ".*tmp*"))
+	tmps, _ := filepath.Glob(filepath.Join(dir, ".*tmp*"))
 	if len(tmps) != 0 {
 		t.Fatalf("stray temp files: %v", tmps)
 	}

@@ -300,7 +300,7 @@ func renderSceneOptions(w http.ResponseWriter, r *http.Request) (opt stream.Scen
 		return opt, "", false
 	}
 	if code, msg := sceneLimit(desc); code != "" {
-		httpErrorCode(w, http.StatusUnprocessableEntity, code, "scene: %s", msg)
+		WriteError(w, http.StatusUnprocessableEntity, code, "scene: %s", msg)
 		return opt, "", false
 	}
 	if desc.Room != nil {
