@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -478,6 +479,7 @@ func TestGatewayMetricsExposed(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	runtime.GC() // so go_gc_pause_seconds has a pause to count
 	resp, err = http.Get(front.URL + "/debug/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
@@ -489,13 +491,14 @@ func TestGatewayMetricsExposed(t *testing.T) {
 	if flat["uniqgw_ring_nodes"] != 1 {
 		t.Fatalf("ring gauge = %v, want 1", flat["uniqgw_ring_nodes"])
 	}
-	for _, name := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines"} {
+	for _, name := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines", "go_gc_pause_seconds_count"} {
 		if _, ok := flat[name]; !ok {
 			t.Errorf("runtime series %s missing", name)
 		}
 	}
-	if flat["go_goroutines"] < 1 || flat["go_gc_heap_goal_bytes"] <= 0 {
-		t.Errorf("runtime gauges read %v goroutines, heap goal %v bytes", flat["go_goroutines"], flat["go_gc_heap_goal_bytes"])
+	if flat["go_goroutines"] < 1 || flat["go_gc_heap_goal_bytes"] <= 0 || flat["go_gc_pause_seconds_count"] < 1 {
+		t.Errorf("runtime series read %v goroutines, heap goal %v bytes, %v GC pauses",
+			flat["go_goroutines"], flat["go_gc_heap_goal_bytes"], flat["go_gc_pause_seconds_count"])
 	}
 
 	resp, err = http.Get(front.URL + "/debug/metrics")
@@ -507,6 +510,37 @@ func TestGatewayMetricsExposed(t *testing.T) {
 	for _, want := range []string{"uniqgw_route_total", "uniqgw_backend_seconds", "uniqgw_requests_total", "uniqgw_nodes{", "go_gc_heap_goal_bytes"} {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("text exposition missing %s", want)
+		}
+	}
+}
+
+// TestGatewayObserveAllocatesNothing pins the gateway's per-request metric
+// path: a warm front-door request and its forwarded exchange are counted
+// without allocating.
+func TestGatewayObserveAllocatesNothing(t *testing.T) {
+	a := newFakeNode(t, "a")
+	gw, front := newTestGateway(t, a)
+	const route = "GET /v1/profiles/{user}"
+	if allocs := testing.AllocsPerRun(100, func() {
+		gw.metrics.observeRequest(route, http.StatusOK)
+		gw.metrics.observeRequest(route, http.StatusNotFound)
+		gw.metrics.observeRoute("a", route, outcomeUpstream4xx, time.Millisecond)
+	}); allocs != 0 {
+		t.Errorf("a warm request's metric calls allocate %v times", allocs)
+	}
+	resp, err := http.Get(front.URL + "/debug/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := decodeJSON[map[string]float64](t, resp)
+	for key, want := range map[string]float64{
+		`uniqgw_requests_total{route="GET /v1/profiles/{user}",code="200"}`:                   101,
+		`uniqgw_requests_total{route="GET /v1/profiles/{user}",code="404"}`:                   101,
+		`uniqgw_route_total{node="a",route="GET /v1/profiles/{user}",outcome="upstream_4xx"}`: 101,
+		`uniqgw_backend_seconds_count{node="a"}`:                                              101,
+	} {
+		if got := flat[key]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
 		}
 	}
 }

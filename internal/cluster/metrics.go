@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -72,5 +71,5 @@ func (m *gatewayMetrics) observeRoute(node, route, outcome string, took time.Dur
 
 // observeRequest records one front-door request.
 func (m *gatewayMetrics) observeRequest(route string, code int) {
-	m.requests.With(route, strconv.Itoa(code)).Inc()
+	m.requests.With(route, obs.StatusLabel(code)).Inc()
 }

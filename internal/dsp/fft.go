@@ -20,7 +20,7 @@ func IsPow2(n int) bool {
 
 // FFT computes the in-place-free discrete Fourier transform of x and returns
 // a new slice. Any length is supported: powers of two use an iterative
-// radix-2 Cooley-Tukey kernel; other lengths fall back to Bluestein's
+// radix-2² Cooley-Tukey kernel; other lengths fall back to Bluestein's
 // algorithm. An empty input returns an empty output. The transform runs
 // through the cached per-size Plan, so repeated calls at one size share
 // twiddle tables and scratch.

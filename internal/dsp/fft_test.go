@@ -228,7 +228,7 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	}
 }
 
-// benchSizes cover both plan kernels: pow2 radix-2 and Bluestein.
+// benchSizes cover both plan kernels: pow2 radix-2² and Bluestein.
 var benchSizes = []struct {
 	name string
 	n    int

@@ -8,12 +8,13 @@ import (
 )
 
 // Plan holds everything precomputable about a DFT of one size: the twiddle
-// table and bit-reversal permutation for power-of-two sizes, and for every
+// table and bit-reversal swap list for power-of-two sizes, and for every
 // other size the Bluestein chirp together with its pre-transformed spectra.
-// Plans are immutable after construction and safe for concurrent use; the
-// per-transform scratch they need is recycled through a sync.Pool, so a
-// transform through a warm plan performs no allocations beyond whatever
-// output buffer the caller chooses.
+// Plans are immutable after construction and safe for concurrent use. A
+// power-of-two transform needs no scratch; a Bluestein transform recycles
+// its scratch through a sync.Pool, so a transform through a warm plan
+// performs no allocations beyond whatever output buffer the caller
+// chooses.
 //
 // Callers that own their buffers use Plan directly (Forward / Inverse /
 // ForwardReal); the package-level FFT / IFFT / FFTReal / IFFTReal wrappers
@@ -23,10 +24,16 @@ type Plan struct {
 	n int
 
 	// Power-of-two kernel state (nil for Bluestein sizes, where sub holds
-	// it instead): perm is the bit-reversal permutation, tw the first half
-	// of the forward roots of unity, tw[k] = exp(-2πik/n).
-	perm []int32
-	tw   []complex128
+	// it instead). swaps is the bit-reversal permutation as flattened index
+	// pairs (i, j) with i < j, and fixed the indices it leaves in place.
+	// stw holds every butterfly stage's twiddles, laid out per stage: the
+	// stage of half-size h reads stw[h-1 : 2h-1], stw[h-1+j] = tw[j·n/(2h)].
+	// The last stage's slice is tw itself, the first half of the forward
+	// roots of unity, tw[k] = exp(-2πik/n).
+	swaps []int32
+	fixed []int32
+	stw   []complex128
+	tw    []complex128
 
 	// Bluestein state (nil for power-of-two sizes): the convolution length
 	// m = NextPow2(2n-1), its power-of-two plan, the forward chirp
@@ -44,7 +51,7 @@ type Plan struct {
 
 	// Real-input state, built on first ForwardReal for even n: the
 	// half-size plan and the untangling twiddles rtw[k] = exp(-2πik/n),
-	// k < n/2.
+	// k < n/2 (tw itself for power-of-two n).
 	realOnce sync.Once
 	half     *Plan
 	rtw      []complex128
@@ -96,17 +103,38 @@ func newPlan(n int) *Plan {
 
 func (p *Plan) buildPow2() {
 	n := p.n
-	p.perm = make([]int32, n)
-	if n > 1 {
-		shift := 64 - uint(bits.Len(uint(n-1)))
-		for i := 0; i < n; i++ {
-			p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
-		}
+	if n < 2 {
+		return
 	}
-	p.tw = make([]complex128, n/2)
+	h := n / 2
+	p.stw = make([]complex128, n-1)
+	p.tw = p.stw[h-1:]
 	for k := range p.tw {
 		ang := -2 * math.Pi * float64(k) / float64(n)
 		p.tw[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	// Earlier stages read tw at stride n/(2s); copying the entries keeps
+	// every twiddle bit-identical to the last stage's.
+	for s := 1; s < h; s *= 2 {
+		stride := n / (2 * s)
+		for j := 0; j < s; j++ {
+			p.stw[s-1+j] = p.tw[j*stride]
+		}
+	}
+	// A bit-reversal's fixed points are its palindromes: 2^⌈log₂n/2⌉ of
+	// them. The rest pair up.
+	lg := bits.TrailingZeros(uint(n))
+	nFixed := 1 << ((lg + 1) / 2)
+	p.swaps = make([]int32, 0, n-nFixed)
+	p.fixed = make([]int32, 0, nFixed)
+	shift := 64 - uint(lg)
+	for i := 0; i < n; i++ {
+		switch j := int(bits.Reverse64(uint64(i)) >> shift); {
+		case i < j:
+			p.swaps = append(p.swaps, int32(i), int32(j))
+		case i == j:
+			p.fixed = append(p.fixed, int32(i))
+		}
 	}
 }
 
@@ -172,12 +200,21 @@ func (p *Plan) Root(k int) complex128 {
 func (p *Plan) Forward(x []complex128) { p.transform(x, false) }
 
 // Inverse computes the in-place inverse DFT of x with the usual 1/N
-// normalization. len(x) must equal the plan size.
+// normalization. len(x) must equal the plan size. For power-of-two sizes
+// the output conjugation and the scale share one pass.
 func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, true)
 	scale := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= scale
+	if p.tw == nil || len(x) != p.n {
+		p.transform(x, true)
+		for i := range x {
+			x[i] *= scale
+		}
+		return
+	}
+	p.permute(x, true)
+	p.butterflies(x)
+	for i, v := range x {
+		x[i] = complex(real(v), -imag(v)) * scale
 	}
 }
 
@@ -198,42 +235,96 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 	p.bluesteinTransform(x, inverse)
 }
 
-// pow2Transform runs the table-driven radix-2 kernel. The inverse is the
-// conjugate of the forward transform of the conjugate input, which keeps a
-// single branch-free butterfly loop.
+// pow2Transform runs the power-of-two kernel. The inverse is the conjugate
+// of the forward transform of the conjugate input; the input conjugation
+// rides on the permutation pass.
 func (p *Plan) pow2Transform(x []complex128, inverse bool) {
+	p.permute(x, inverse)
+	p.butterflies(x)
 	if inverse {
 		for i, v := range x {
 			x[i] = complex(real(v), -imag(v))
 		}
 	}
-	n := p.n
-	for i, j := range p.perm {
-		if int(j) > i {
+}
+
+// permute applies the bit-reversal permutation to x, conjugating every
+// element on the way when conjugate is set.
+func (p *Plan) permute(x []complex128, conjugate bool) {
+	sw := p.swaps
+	if !conjugate {
+		for k := 0; k+1 < len(sw); k += 2 {
+			i, j := sw[k], sw[k+1]
 			x[i], x[j] = x[j], x[i]
 		}
+		return
 	}
-	tw := p.tw
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			ti := 0
-			for k := start; k < start+half; k++ {
-				w := tw[ti]
-				a := x[k]
-				b := x[k+half] * w
-				x[k] = a + b
-				x[k+half] = a - b
-				ti += stride
+	for k := 0; k+1 < len(sw); k += 2 {
+		i, j := sw[k], sw[k+1]
+		a, b := x[i], x[j]
+		x[i] = complex(real(b), -imag(b))
+		x[j] = complex(real(a), -imag(a))
+	}
+	for _, i := range p.fixed {
+		v := x[i]
+		x[i] = complex(real(v), -imag(v))
+	}
+}
+
+// butterflies runs the decimation-in-time stages over bit-reversed x in
+// radix-2² passes: each pass does the work of two radix-2 stages, of
+// half-sizes h and 2h, on groups of four elements held in locals (radix4),
+// so the data is swept half as often. The first pass, h = 1, reads its
+// three twiddles once; when log₂n is odd a plain radix-2 pass over tw
+// finishes the transform. Every butterfly keeps the radix-2 kernel's
+// operands and operations in their order, so the output is bit-identical
+// to one sweep per stage.
+func (p *Plan) butterflies(x []complex128) {
+	n := len(x)
+	stw := p.stw
+	h := 1
+	if n >= 4 {
+		u, v, w := stw[0], stw[1], stw[2]
+		for s := 0; s+4 <= n; s += 4 {
+			q := x[s : s+4 : s+4]
+			q[0], q[1], q[2], q[3] = radix4(q[0], q[1], q[2], q[3], u, v, w)
+		}
+		h = 4
+	}
+	for ; 4*h <= n; h *= 4 {
+		// Reslicing everything to length h lets the compiler drop the
+		// inner loop's bounds checks.
+		w1, w2, w3 := stw[h-1:][:h], stw[2*h-1:][:h], stw[3*h-1:][:h]
+		for s := 0; s < n; s += 4 * h {
+			q0, q1, q2, q3 := x[s:][:h], x[s+h:][:h], x[s+2*h:][:h], x[s+3*h:][:h]
+			for j := 0; j < h; j++ {
+				q0[j], q1[j], q2[j], q3[j] = radix4(q0[j], q1[j], q2[j], q3[j], w1[j], w2[j], w3[j])
 			}
 		}
 	}
-	if inverse {
-		for i, v := range x {
-			x[i] = complex(real(v), -imag(v))
-		}
+	if h == n {
+		return
 	}
+	lo, hi, w := x[:h], x[h:][:h], p.tw[:h]
+	for j := 0; j < h; j++ {
+		t := hi[j] * w[j]
+		lo[j], hi[j] = lo[j]+t, lo[j]-t
+	}
+}
+
+// radix4 runs two radix-2 stages on one group of four: (a0, a1) and
+// (a2, a3) by the stage-h twiddle u, then (a0, a2) by v and (a1, a3) by w,
+// the stage-2h twiddles. Each butterfly is the radix-2 kernel's own
+// expression, b·w with the data operand first and then a ± b, which Go
+// lowers to br·wr − bi·wi, br·wi + bi·wr and a componentwise add and
+// subtract. Both kernels therefore hand the compiler the same expression
+// trees, and an architecture that fuses multiply-adds fuses them alike.
+func radix4(a0, a1, a2, a3, u, v, w complex128) (complex128, complex128, complex128, complex128) {
+	t1, t3 := a1*u, a3*u
+	c0, c1 := a0+t1, a0-t1
+	c2, c3 := a2+t3, a2-t3
+	t2, t3 := c2*v, c3*w
+	return c0 + t2, c1 + t3, c0 - t2, c1 - t3
 }
 
 // bluesteinTransform runs the chirp-z transform through the precomputed
@@ -296,6 +387,10 @@ func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 	p.realOnce.Do(func() {
 		h := n / 2
 		p.half = PlanFFT(h)
+		if p.tw != nil {
+			p.rtw = p.tw // the same expression, so the same bits
+			return
+		}
 		p.rtw = make([]complex128, h)
 		for k := range p.rtw {
 			ang := -2 * math.Pi * float64(k) / float64(n)

@@ -212,13 +212,36 @@ type vec struct {
 	name, help string
 	labels     []string
 
-	children sync.Map // joined label values -> child
+	children sync.Map // childKey -> child
 	mu       sync.Mutex
 }
 
-// childKey joins label values; \x1f cannot appear in sane label values and
-// keeps the joined key unambiguous.
-func childKey(values []string) string { return strings.Join(values, "\x1f") }
+// maxLabels bounds a family's label count, so a child's key can be a
+// fixed-size array: a warm lookup then builds no key on the heap.
+const maxLabels = 4
+
+// childKey holds a child's label values; slots past the family's label
+// count stay empty.
+type childKey [maxLabels]string
+
+// less orders keys label by label, the order the exposition lists
+// children in.
+func (k childKey) less(o childKey) bool {
+	for i := range k {
+		if k[i] != o[i] {
+			return k[i] < o[i]
+		}
+	}
+	return false
+}
+
+// checkLabels panics when a family declares more labels than a childKey
+// holds.
+func checkLabels(name string, labels []string) {
+	if len(labels) > maxLabels {
+		panic(fmt.Sprintf("obs: %s declares %d labels, more than %d", name, len(labels), maxLabels))
+	}
+}
 
 // labelPairs renders {a="x",b="y"} for the declared label names.
 func (v *vec) labelPairs(values []string, extra ...string) string {
@@ -251,15 +274,15 @@ func (v *vec) labelPairs(values []string, extra ...string) string {
 func (v *vec) sortedChildren() []childEntry {
 	var out []childEntry
 	v.children.Range(func(k, c any) bool {
-		out = append(out, childEntry{k.(string), c})
+		out = append(out, childEntry{k.(childKey), c})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	sort.Slice(out, func(i, j int) bool { return out[i].key.less(out[j].key) })
 	return out
 }
 
 type childEntry struct {
-	key   string
+	key   childKey
 	child any
 }
 
@@ -267,7 +290,8 @@ func (v *vec) getOrMake(values []string, make func() any) any {
 	if len(values) != len(v.labels) {
 		panic("obs: wrong label value count for " + v.name)
 	}
-	key := childKey(values)
+	var key childKey
+	copy(key[:], values)
 	if c, ok := v.children.Load(key); ok {
 		return c
 	}
@@ -317,6 +341,7 @@ func (v *CounterVec) flatten(into map[string]float64) {
 
 // CounterVec registers (or returns the existing) labelled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	checkLabels(name, labels)
 	c := r.register(&CounterVec{vec{name: name, help: help, labels: labels}})
 	return c.(*CounterVec)
 }
@@ -357,6 +382,7 @@ func (v *GaugeVec) flatten(into map[string]float64) {
 
 // GaugeVec registers (or returns the existing) labelled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	checkLabels(name, labels)
 	g := r.register(&GaugeVec{vec{name: name, help: help, labels: labels}})
 	return g.(*GaugeVec)
 }
@@ -491,6 +517,7 @@ func (v *HistogramVec) flatten(into map[string]float64) {
 // HistogramVec registers (or returns the existing) labelled histogram
 // family with shared bucket bounds.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+	checkLabels(name, labels)
 	h := r.register(&HistogramVec{
 		vec:    vec{name: name, help: help, labels: labels},
 		bounds: append([]float64(nil), bounds...),
@@ -526,4 +553,24 @@ func formatBound(v float64) string {
 		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// statusDigits is "100101102…599": every three-digit HTTP status code's
+// text, so StatusLabel can slice a label instead of formatting one.
+var statusDigits = func() string {
+	b := make([]byte, 0, 3*500)
+	for code := 100; code < 600; code++ {
+		b = strconv.AppendInt(b, int64(code), 10)
+	}
+	return string(b)
+}()
+
+// StatusLabel returns an HTTP status code as a label value, without
+// allocating for codes 100–599.
+func StatusLabel(code int) string {
+	if code < 100 || code > 599 {
+		return strconv.Itoa(code)
+	}
+	i := 3 * (code - 100)
+	return statusDigits[i : i+3]
 }

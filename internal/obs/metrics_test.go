@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -174,5 +176,42 @@ func TestRegisterRuntime(t *testing.T) {
 	reg.WriteText(&b)
 	if !strings.Contains(b.String(), "# TYPE go_gc_cycles_total counter") {
 		t.Errorf("exposition lacks the GC cycle counter:\n%s", b.String())
+	}
+	// Eight cumulative buckets from about 10 µs to about 100 ms, then
+	// +Inf, whose count the _count line repeats.
+	var les []float64
+	var counts []uint64
+	var count uint64
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `go_gc_pause_seconds_bucket{le="`); ok {
+			le, n, _ := strings.Cut(rest, `"} `)
+			v, _ := strconv.ParseFloat(le, 64) // "+Inf" parses too
+			c, _ := strconv.ParseUint(n, 10, 64)
+			les, counts = append(les, v), append(counts, c)
+		}
+		if n, ok := strings.CutPrefix(line, "go_gc_pause_seconds_count "); ok {
+			count, _ = strconv.ParseUint(n, 10, 64)
+		}
+	}
+	if len(les) != 9 || !math.IsInf(les[8], 1) || counts[8] != count || count < 1 || m["go_gc_pause_seconds_count"] != float64(count) {
+		t.Fatalf("go_gc_pause_seconds after runtime.GC: bounds %v, counts %v, count %d (JSON %v)", les, counts, count, m["go_gc_pause_seconds_count"])
+	}
+	if les[0] < 1e-5 || les[0] > 2e-5 || les[7] < 0.1 || les[7] > 0.2 {
+		t.Errorf("bounds run %v to %v, want about 10 µs to 100 ms", les[0], les[7])
+	}
+	for i := 1; i < len(les); i++ {
+		if les[i] <= les[i-1] || counts[i] < counts[i-1] {
+			t.Errorf("buckets not ascending and cumulative: %v, %v", les, counts)
+		}
+	}
+}
+
+// TestStatusLabel checks the sliced status labels against strconv across
+// the table's edges and outside it.
+func TestStatusLabel(t *testing.T) {
+	for _, code := range []int{0, 99, 100, 101, 200, 404, 503, 599, 600, 1000} {
+		if got, want := StatusLabel(code), strconv.Itoa(code); got != want {
+			t.Errorf("StatusLabel(%d) = %q, want %q", code, got, want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
-	"strconv"
+	"context"
+	"log/slog"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -177,7 +179,7 @@ func newServiceMetrics(reg *obs.Registry, pool *Pool, store *Store) *serviceMetr
 // Observe records one HTTP request against an endpoint label (the route
 // pattern, e.g. "POST /v1/sessions").
 func (m *serviceMetrics) Observe(endpoint string, code int, seconds float64) {
-	m.requests.With(endpoint, strconv.Itoa(code)).Inc()
+	m.requests.With(endpoint, obs.StatusLabel(code)).Inc()
 	m.latency.With(endpoint).Observe(seconds)
 }
 
@@ -221,36 +223,87 @@ func (m *serviceMetrics) sceneStart(sources int) func() {
 	}
 }
 
-// streamFrameMetrics are one session kind's frame counters and latency
-// histogram, looked up once when a session opens: a label lookup costs a
-// string join and a map probe, too much for every frame.
-type streamFrameMetrics struct {
-	in, out *obs.Counter // out counts AoA events for aoa sessions
-	latency *obs.Histogram
+// streamSession is one streaming session's metrics: its kind's frame
+// counters and latency histogram, looked up once when the session opens
+// (a label lookup per frame would be wasted work), and the session's own
+// tallies, which the one summary line it logs when it closes reports. A
+// session's frames are handled on its handler's goroutine, so the tallies
+// need no synchronisation.
+type streamSession struct {
+	m          *serviceMetrics
+	kind, user string
+	in, out    *obs.Counter // out counts AoA events for aoa sessions
+	latency    *obs.Histogram
+
+	framesIn, framesOut uint64
+	// latencyCounts counts frames per streamLatencyBuckets bucket, the
+	// overflow bucket last.
+	latencyCounts []uint64
 }
 
-func (m *serviceMetrics) streamFrameMetrics(kind string) streamFrameMetrics {
-	return streamFrameMetrics{
-		in:      m.streamFrames.With(kind, "in"),
-		out:     m.streamFrames.With(kind, "out"),
-		latency: m.streamLatency.With(kind),
+func (m *serviceMetrics) openStreamSession(kind, user string) *streamSession {
+	return &streamSession{
+		m:             m,
+		kind:          kind,
+		user:          user,
+		in:            m.streamFrames.With(kind, "in"),
+		out:           m.streamFrames.With(kind, "out"),
+		latency:       m.streamLatency.With(kind),
+		latencyCounts: make([]uint64, len(streamLatencyBuckets)+1),
 	}
 }
 
 // observe counts one processed input frame and records its processing
 // latency.
-func (f streamFrameMetrics) observe(seconds float64) {
+func (f *streamSession) observe(seconds float64) {
 	f.in.Inc()
 	f.latency.Observe(seconds)
+	f.framesIn++
+	i := 0
+	for i < len(streamLatencyBuckets) && seconds > streamLatencyBuckets[i] {
+		i++
+	}
+	f.latencyCounts[i]++
 }
 
-// addStreamDrops folds a finished session's overrun/underrun sample counts
-// into the totals.
-func (m *serviceMetrics) addStreamDrops(overruns, underruns uint64) {
+// frameOut counts one output frame (an event for aoa sessions).
+func (f *streamSession) frameOut() {
+	f.out.Inc()
+	f.framesOut++
+}
+
+// p99 returns the upper bound, in seconds, of the latency bucket that holds
+// the session's 99th-percentile frame: +Inf past the last bound, 0 for a
+// session that processed no frame.
+func (f *streamSession) p99() float64 {
+	rank := (99*f.framesIn + 99) / 100 // ⌈0.99·frames⌉
+	var seen uint64
+	for i, c := range f.latencyCounts {
+		if seen += c; seen >= rank && rank > 0 {
+			if i == len(streamLatencyBuckets) {
+				return math.Inf(1)
+			}
+			return streamLatencyBuckets[i]
+		}
+	}
+	return 0
+}
+
+// close folds the session's overrun/underrun sample counts into the node's
+// totals and logs the session's summary line at Info.
+func (f *streamSession) close(ctx context.Context, log *slog.Logger, overruns, underruns uint64) {
 	if overruns > 0 {
-		m.streamOverruns.Add(overruns)
+		f.m.streamOverruns.Add(overruns)
 	}
 	if underruns > 0 {
-		m.streamUnderruns.Add(underruns)
+		f.m.streamUnderruns.Add(underruns)
 	}
+	log.LogAttrs(ctx, slog.LevelInfo, "stream session closed",
+		slog.String("kind", f.kind),
+		slog.String("user", f.user),
+		slog.Uint64("frames_in", f.framesIn),
+		slog.Uint64("frames_out", f.framesOut),
+		slog.Uint64("overrun_samples", overruns),
+		slog.Uint64("underrun_samples", underruns),
+		slog.Float64("frame_p99_le_s", f.p99()))
 }

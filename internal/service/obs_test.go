@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +235,7 @@ func TestServerMetricsNewFamilies(t *testing.T) {
 		t.Fatal("ghost profile should 404")
 	}
 
+	runtime.GC() // so go_gc_pause_seconds has a pause to count
 	m, err := c.MetricsJSON(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -254,13 +257,14 @@ func TestServerMetricsNewFamilies(t *testing.T) {
 		t.Errorf("%v submit bodies took the fallback decode", got)
 	}
 	// The runtime gauges read live values.
-	for _, key := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines"} {
+	for _, key := range []string{"go_gc_heap_live_bytes", "go_gc_heap_goal_bytes", "go_gc_cycles_total", "go_goroutines", "go_gc_pause_seconds_count"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics JSON missing %s", key)
 		}
 	}
-	if m["go_goroutines"] < 1 || m["go_gc_heap_goal_bytes"] <= 0 {
-		t.Errorf("runtime gauges read %v goroutines, heap goal %v bytes", m["go_goroutines"], m["go_gc_heap_goal_bytes"])
+	if m["go_goroutines"] < 1 || m["go_gc_heap_goal_bytes"] <= 0 || m["go_gc_pause_seconds_count"] < 1 {
+		t.Errorf("runtime series read %v goroutines, heap goal %v bytes, %v GC pauses",
+			m["go_goroutines"], m["go_gc_heap_goal_bytes"], m["go_gc_pause_seconds_count"])
 	}
 	// Process-wide cache counters must be wired in, whatever their value.
 	for _, key := range []string{
@@ -280,10 +284,10 @@ func TestServerMetricsNewFamilies(t *testing.T) {
 // allocate nothing.
 func TestStreamFrameMetrics(t *testing.T) {
 	svc, c := newTestServer(t)
-	frames := svc.metrics.streamFrameMetrics("aoa")
+	frames := svc.metrics.openStreamSession("aoa", "u")
 	if allocs := testing.AllocsPerRun(100, func() {
 		frames.observe(2e-3)
-		frames.out.Inc()
+		frames.frameOut()
 	}); allocs != 0 {
 		t.Errorf("a frame's metric calls allocate %v times", allocs)
 	}
@@ -300,5 +304,58 @@ func TestStreamFrameMetrics(t *testing.T) {
 		if got := m[key]; got != want {
 			t.Errorf("%s = %v, want %v", key, got, want)
 		}
+	}
+}
+
+// TestObserveAllocatesNothing pins the per-request metric path: once a
+// route and status code have been seen, recording another request makes
+// no allocation.
+func TestObserveAllocatesNothing(t *testing.T) {
+	svc, c := newTestServer(t)
+	const endpoint = "GET /v1/profiles/{user}"
+	if allocs := testing.AllocsPerRun(100, func() {
+		svc.metrics.Observe(endpoint, http.StatusOK, 1e-3)
+		svc.metrics.Observe(endpoint, http.StatusNotFound, 1e-3)
+	}); allocs != 0 {
+		t.Errorf("a warm request's metric calls allocate %v times", allocs)
+	}
+	m, err := c.MetricsJSON(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		`uniqd_requests_total{endpoint="GET /v1/profiles/{user}",code="200"}`: 101,
+		`uniqd_requests_total{endpoint="GET /v1/profiles/{user}",code="404"}`: 101,
+		`uniqd_request_seconds_count{endpoint="GET /v1/profiles/{user}"}`:     202,
+	} {
+		if got := m[key]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
+}
+
+// TestStreamSessionP99 pins the summary line's p99: the upper bound of the
+// bucket holding the ⌈0.99·n⌉-th fastest frame.
+func TestStreamSessionP99(t *testing.T) {
+	svc, _ := newTestServer(t)
+	f := svc.metrics.openStreamSession("render", "u")
+	if got := f.p99(); got != 0 {
+		t.Errorf("no frames: p99 %v, want 0", got)
+	}
+	for i := 0; i < 99; i++ {
+		f.observe(2e-5)
+	}
+	f.observe(0.2)
+	if got := f.p99(); got != 5e-5 {
+		t.Errorf("99 fast frames and 1 slow: p99 %v, want 5e-5", got)
+	}
+	f.observe(0.2)
+	if got := f.p99(); got != 0.5 {
+		t.Errorf("99 fast frames and 2 slow: p99 %v, want 0.5", got)
+	}
+	f.observe(3)
+	f.observe(3)
+	if got := f.p99(); !math.IsInf(got, 1) {
+		t.Errorf("p99 frame past the last bound: p99 %v, want +Inf", got)
 	}
 }

@@ -96,12 +96,12 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 	} else {
 		done = s.metrics.streamStart(kind)
 	}
+	frames := s.metrics.openStreamSession(kind, r.PathValue("user"))
 	defer func() {
 		st := sc.Stats()
-		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
+		frames.close(r.Context(), s.log, st.OverrunSamples, st.UnderrunSamples)
 		done()
 	}()
-	frames := s.metrics.streamFrameMetrics(kind)
 	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
 	rc := startStream(w, "application/octet-stream")
 
@@ -126,7 +126,7 @@ func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 			if err := writeFrame(w, frameAudio, outBytes); err != nil {
 				return false
 			}
-			frames.out.Inc()
+			frames.frameOut()
 		}
 	}
 	// feed pushes one source's mono chunk block by block, draining the
@@ -353,11 +353,11 @@ func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "aoa tracker: %v", err)
 		return
 	}
-	frames := s.metrics.streamFrameMetrics("aoa")
+	frames := s.metrics.openStreamSession("aoa", r.PathValue("user"))
 	rc := startStream(w, "application/x-ndjson")
 	done := s.metrics.streamStart("aoa")
 	defer func() {
-		s.metrics.addStreamDrops(tr.Overruns(), 0)
+		frames.close(r.Context(), s.log, tr.Overruns(), 0)
 		done()
 	}()
 
@@ -393,7 +393,7 @@ func (s *Service) handleStreamAoA(w http.ResponseWriter, r *http.Request) {
 				if err := enc.Encode(ev); err != nil {
 					return
 				}
-				frames.out.Inc()
+				frames.frameOut()
 			}
 		}
 		_ = rc.Flush()

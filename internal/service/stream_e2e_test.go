@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +24,14 @@ import (
 // tables in milliseconds.
 func newStreamTestServer(t *testing.T) (*Service, *Client) {
 	t.Helper()
-	svc, err := New(Config{StoreDir: t.TempDir(), Workers: 1})
+	return newStreamTestServerLogging(t, nil)
+}
+
+// newStreamTestServerLogging is newStreamTestServer with the service's
+// records going to logger (nil discards them).
+func newStreamTestServerLogging(t *testing.T, logger *slog.Logger) (*Service, *Client) {
+	t.Helper()
+	svc, err := New(Config{StoreDir: t.TempDir(), Workers: 1, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,4 +596,117 @@ func TestStreamEndpointsRejectUnknownUser(t *testing.T) {
 func isStatus(err error, code int) bool {
 	ae, ok := err.(*APIError)
 	return ok && ae.StatusCode == code
+}
+
+// captureHandler keeps every record logged through it.
+type captureHandler struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *captureHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *captureHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *captureHandler) WithGroup(string) slog.Handler            { return h }
+func (h *captureHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// sessionSummaries returns the attributes of every "stream session
+// closed" record so far.
+func (h *captureHandler) sessionSummaries() []map[string]slog.Value {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []map[string]slog.Value
+	for _, r := range h.recs {
+		if r.Message != "stream session closed" {
+			continue
+		}
+		attrs := map[string]slog.Value{"level": slog.StringValue(r.Level.String())}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value
+			return true
+		})
+		out = append(out, attrs)
+	}
+	return out
+}
+
+// TestStreamSessionSummaryLine runs a render and an AoA session and
+// requires each to log exactly one Info summary when it closes, with its
+// kind, user, frame counts, drops and p99 frame latency.
+func TestStreamSessionSummaryLine(t *testing.T) {
+	logs := &captureHandler{}
+	_, client := newStreamTestServerLogging(t, slog.New(logs))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// One pose frame and five 1024-sample audio frames in.
+	mono := quantizeF32(dsp.WhiteNoise(5*1024, rand.New(rand.NewSource(3))))
+	streamRenderAt(ctx, t, client, 40, 0, mono)
+
+	st, err := client.StreamAoA(ctx, "vol1", AoAStreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 3; i++ {
+		if err := st.SendStereo(mono[:1600], mono[:1600]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for {
+		if _, err := st.Recv(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		events++
+	}
+
+	// A handler logs as it returns, which the client may see before the
+	// record lands.
+	var got []map[string]slog.Value
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if got = logs.sessionSummaries(); len(got) >= 2 {
+			break
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d session summaries, want 2: %v", len(got), got)
+	}
+	// Render output frames depend on chunking, so only their presence is
+	// pinned; an AoA session's are its events.
+	for i, want := range []struct {
+		kind       string
+		in, minOut uint64
+		exactOut   bool
+	}{
+		{kind: "render", in: 6, minOut: 1},
+		{kind: "aoa", in: 3, minOut: uint64(events), exactOut: true},
+	} {
+		a := got[i]
+		if a["level"].String() != "INFO" || a["kind"].String() != want.kind || a["user"].String() != "vol1" {
+			t.Errorf("summary %d: level %v kind %v user %v, want INFO %s vol1", i, a["level"], a["kind"], a["user"], want.kind)
+		}
+		if in := a["frames_in"].Uint64(); in != want.in {
+			t.Errorf("%s: frames_in %d, want %d", want.kind, in, want.in)
+		}
+		out := a["frames_out"].Uint64()
+		if out < want.minOut || (want.exactOut && out != want.minOut) {
+			t.Errorf("%s: frames_out %d, want %d (exact %v)", want.kind, out, want.minOut, want.exactOut)
+		}
+		if a["overrun_samples"].Uint64() != 0 || a["underrun_samples"].Uint64() != 0 {
+			t.Errorf("%s: drops on a clean stream: %v, %v", want.kind, a["overrun_samples"], a["underrun_samples"])
+		}
+		if p99 := a["frame_p99_le_s"].Float64(); !(p99 > 0) {
+			t.Errorf("%s: frame_p99_le_s %v, want a bucket bound", want.kind, p99)
+		}
+	}
 }
