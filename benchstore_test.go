@@ -162,8 +162,8 @@ func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 			return testing.BenchmarkResult{}, false
 		}
 		defer os.RemoveAll(dir)
-		// The samples are a dozen floats whatever the table, so a small
-		// one keeps the set-up short.
+		// The samples are four floats whatever the table, so a small one
+		// keeps the set-up short.
 		small := hrtf.NewTable(48000, 0, 90, 3)
 		for i := range small.Far {
 			small.Far[i] = hrtf.HRIR{Left: []float64{1, 0.5, float64(i)}, Right: []float64{0.25, 1}, SampleRate: 48000}
@@ -179,7 +179,7 @@ func measureStoreKernel(name string) (testing.BenchmarkResult, bool) {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := prior.Fit(st.PriorSamples(), prior.FitOptions{})
+				m, err := prior.Fit(st.PriorSamples())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,6 @@
 //	      [-pipeline-workers N] [-job-timeout 10m] [-drain-timeout 2m]
 //	      [-cache N] [-pprof]
 //	      [-prior] [-prior-refresh N] [-prior-min N]
-//	      [-store-segment-bytes N] [-store-compact-ratio R]
 //	      [-log-level info] [-log-format text] [-version]
 //
 // API (see DESIGN.md for the full table):
@@ -62,10 +61,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job solve deadline")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "shutdown drain deadline")
 	cache := flag.Int("cache", 128, "profiles kept in the in-memory LRU")
-	storeSegBytes := flag.Int64("store-segment-bytes", 0,
-		"roll the profile store to a new segment file past this size (0 = 64 MiB default)")
-	storeCompactRatio := flag.Float64("store-compact-ratio", 0,
-		"compact a sealed store segment once this fraction of its bytes is dead (0 = 0.5 default)")
 	priorEnabled := flag.Bool("prior", true,
 		"warm-start fusion solves with a population prior fitted over stored profiles")
 	priorRefresh := flag.Int("prior-refresh", 16, "refit the population prior after this many new profiles")
@@ -93,8 +88,6 @@ func main() {
 	svc, err := service.New(service.Config{
 		StoreDir:          *dir,
 		CacheSize:         *cache,
-		StoreSegmentBytes: *storeSegBytes,
-		StoreCompactRatio: *storeCompactRatio,
 		Workers:           *workers,
 		Pipeline:          core.PipelineOptions{Workers: *pipelineWorkers},
 		QueueDepth:        *queue,

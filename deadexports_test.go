@@ -13,9 +13,10 @@ import (
 	"testing"
 )
 
-// deadExportAllowlist names the exported package-level identifiers under
-// internal/ that no non-test code references but that stay on purpose.
-// Keys are "<package dir under internal/>.<Name>"; every value says why.
+// deadExportAllowlist names the exported package-level identifiers and
+// methods under internal/ that no non-test code references but that stay
+// on purpose. Keys are "<package dir under internal/>.<Name>" or
+// "<package dir under internal/>.<Type>.<Method>"; every value says why.
 var deadExportAllowlist = map[string]string{
 	// Test signals and references that other packages' tests build on.
 	"dsp.Tone":                   "test tone for the acoustic, render, stream and uniq tests",
@@ -27,37 +28,48 @@ var deadExportAllowlist = map[string]string{
 	"optimize.GridSearch":        "sequential reference that GridSearchParallel is tested against",
 	"hrtf.BinauralCorrelation":   "two-ear similarity metric of the core near/far tests",
 	"dsp.FindPeaks":              "peak list the core near-field tests count; reference for FirstPeak's one-scan search",
+	"head.Model.FarFieldITD":     "far-field ITD that the head, acoustic and core near/far tests check delays against",
+	"cluster.Ring.Owner":         "single-owner lookup the ring, routing and gateway tests and FuzzRingOwner check placement with",
 	// Paper reproductions that only tests run.
 	"core.BlindDecouple":            "§4.3 negative result: blind source/channel decoupling",
 	"core.DefaultBeamformingDesign": "§4.3 negative result: earbud beamforming design",
 	"core.EvaluateBeamforming":      "§4.3 negative result: earbud beamforming evaluation",
 	"core.ProbePinna":               "Fig 2a pinna-response probe",
 	"core.TrainLambda":              "eq 11 lambda training behind the AoA tests",
+	"acoustic.World.ShadowSNRScale": "§5 head shadow: the creeping arc that degrades right-ear accuracy near 90°",
 	// Functions behind bench.json kernels.
-	"core.FuseSensors":    "fuseSensors and fuseSensors/fast records",
-	"stream.NewConvolver": "stream/convolver record (Scene builds its convolvers unexported)",
+	"core.FuseSensors":        "fuseSensors and fuseSensors/fast records",
+	"stream.NewConvolver":     "stream/convolver record (Scene builds its convolvers unexported)",
+	"segstore.Store.PutBatch": "store/bulkload and store/coldread records",
 	// Kept for planned work listed in ROADMAP.md.
 	"hrtf.SpectralDistortion": "log-spectral distortion for the planned quality ledger",
 	"obs.WithLogAttrs":        "per-request log attributes for the planned request tracing",
 	// Tooling.
 	"wav.EncodeMono": "writes the mono WAVs used to drive uniqctl stream by hand",
+	// Methods that only their own tests call; deleting one deletes its test.
+	"geom.Boundary.SweepGrid":      "TestSweepGridMatchesPointQueries",
+	"head.Model.SurfaceArcBetween": "TestSurfaceArcBetween",
+	"hrtf.HRIR.ILD":                "TestILDSign",
+	"hrtf.Table.InvalidateCaches":  "TestFarITDsCachedAndInvalidated; the mutation contract of Table's lazily built caches names it",
 }
 
 // TestNoDeadExports fails when an exported package-level func, type, var
-// or const declared in a non-test file under internal/ is referenced by no
-// non-test file in the repository (bench/, cmd/, examples/ and uniq/
-// included) and is not in deadExportAllowlist. It also fails on allowlist
-// entries that no longer exist or have gained a caller, so the list only
-// shrinks. Methods and struct fields are out of scope.
+// or const, or an exported method of an exported type, declared in a
+// non-test file under internal/ is used by no non-test file in the
+// repository (bench/, cmd/, examples/ and uniq/ included) and is not in
+// deadExportAllowlist. It also fails on allowlist entries that no longer
+// exist or have gained a caller, so the list only shrinks. A method counts
+// as used when any non-test file selects its name (x.Name), whatever x is;
+// struct fields are out of scope.
 func TestNoDeadExports(t *testing.T) {
-	decls, refs := scanExports(t, ".")
+	decls, used := scanExports(t, ".")
 	var dead []string
 	for key := range decls {
 		_, allowed := deadExportAllowlist[key]
 		switch {
-		case refs[key] && allowed:
+		case used[key] && allowed:
 			t.Errorf("%s is allowlisted as unused but now has a non-test caller; drop it from deadExportAllowlist", key)
-		case !refs[key] && !allowed:
+		case !used[key] && !allowed:
 			dead = append(dead, key+" ("+decls[key]+")")
 		}
 	}
@@ -73,13 +85,17 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // scanExports parses every non-test Go file under root. It returns the
-// exported package-level declarations of internal/ packages (key → file
-// position) and the set of keys that some file references, other than by
-// the declaration itself or a method receiver.
-func scanExports(t *testing.T, root string) (decls map[string]string, refs map[string]bool) {
+// exported package-level declarations of internal/ packages and the
+// exported methods of their exported types (key → file position), and the
+// set of those keys that some file uses. A package-level name is used when
+// a file references it, other than by the declaration itself or a method
+// receiver; a method is used when a file selects its name.
+func scanExports(t *testing.T, root string) (decls map[string]string, used map[string]bool) {
 	t.Helper()
 	decls = map[string]string{}
-	refs = map[string]bool{}
+	refs := map[string]bool{}
+	methods := map[string]string{} // key → method name
+	selected := map[string]bool{}  // every name some file selects
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -122,6 +138,12 @@ func scanExports(t *testing.T, root string) (decls map[string]string, refs map[s
 				imports[local] = rest
 			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel.Name] = true
+			}
+			return true
+		})
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -133,6 +155,11 @@ func scanExports(t *testing.T, root string) (decls map[string]string, refs map[s
 					add(d.Name)
 				} else {
 					self = recvType(d.Recv)
+					if own != "" && ast.IsExported(self) && d.Name.IsExported() {
+						key := own + "." + self + "." + d.Name.Name
+						decls[key] = fset.Position(d.Name.Pos()).String()
+						methods[key] = d.Name.Name
+					}
 				}
 				visit := refVisitor(own, self, imports, refs)
 				ast.Inspect(d.Type, visit)
@@ -169,7 +196,11 @@ func scanExports(t *testing.T, root string) (decls map[string]string, refs map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, refs
+	used = refs
+	for key, name := range methods {
+		used[key] = selected[name]
+	}
+	return decls, used
 }
 
 // refVisitor returns an ast.Inspect visitor that records references to

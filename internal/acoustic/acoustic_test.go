@@ -58,7 +58,7 @@ func TestBinauralIRFirstTapMatchesGeometry(t *testing.T) {
 	}
 	wantL, _ := w.ArrivalDelay(src, head.Left)
 	wantR, _ := w.ArrivalDelay(src, head.Right)
-	lead := w.LeadInSamples()
+	lead := LeadInSeconds * w.SampleRate
 	gotL := (li - lead) / w.SampleRate
 	gotR := (ri - lead) / w.SampleRate
 	if math.Abs(gotL-wantL) > 3e-5 {
@@ -126,7 +126,7 @@ func TestRecordContainsProbe(t *testing.T) {
 	cir := dsp.Deconvolve(rec.Left, probe, int(0.01*w.SampleRate), 1e-3)
 	idx, _ := dsp.FirstPeak(cir, 0.35)
 	want, _ := w.ArrivalDelay(geom.Vec{X: -0.3, Y: 0.1}, head.Left)
-	got := (idx - w.LeadInSamples()) / w.SampleRate
+	got := (idx - LeadInSeconds*w.SampleRate) / w.SampleRate
 	if math.Abs(got-want) > 5e-5 {
 		t.Errorf("recovered delay %g, want %g", got, want)
 	}

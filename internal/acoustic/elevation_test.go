@@ -80,7 +80,7 @@ func TestRingFirstTapMatchesArrivalDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := (idx - w.LeadInSamples()) / w.SampleRate
+	got := (idx - LeadInSeconds*w.SampleRate) / w.SampleRate
 	if math.Abs(got-want) > 4e-5 {
 		t.Errorf("ring first tap %g, want %g", got, want)
 	}

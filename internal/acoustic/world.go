@@ -53,11 +53,6 @@ const LeadInSeconds = 1e-3
 
 const leadInSeconds = LeadInSeconds
 
-// LeadInSamples returns the rendering lead-in in samples at the world's
-// sample rate. Rendered IRs place an arrival with physical delay d at
-// sample (d+leadIn)*rate.
-func (w *World) LeadInSamples() float64 { return leadInSeconds * w.SampleRate }
-
 // pinnaIRLen is the rendered pinna-filter length in seconds.
 const pinnaIRLen = 6e-4
 

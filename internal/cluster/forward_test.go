@@ -252,6 +252,51 @@ func TestGatewayRoutedUserIsStoredUser(t *testing.T) {
 	}
 }
 
+// TestOversizedSessionsRejected: a session whose sample rate or audio
+// lengths would size a solve past the session caps gets 400
+// invalid_session, from the node and through the gateway, and the node
+// stays up. The node runs the real solver: a sample rate of 1e20 used to
+// panic it in channel estimation, which ended the process.
+func TestOversizedSessionsRejected(t *testing.T) {
+	_, node := startUniqd(t, core.PersonalizeContext, 1, 4)
+	gw := newProbedGateway(t, 2, NodeSpec{Name: "n1", BaseURL: node.URL})
+	front := httptest.NewServer(gw.Handler())
+	t.Cleanup(front.Close)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*core.SessionInput)
+	}{
+		{"sample rate 1e20", func(in *core.SessionInput) { in.SampleRate = 1e20 }},
+		{"1000x sample rate", func(in *core.SessionInput) { in.SampleRate *= 1000 }},
+		{"2097152-sample probe", func(in *core.SessionInput) { in.Probe = make([]float64, 2097152) }},
+		{"10 s stop", func(in *core.SessionInput) {
+			in.Stops[0].Left, in.Stops[0].Right = make([]float64, 480000), make([]float64, 480000)
+		}},
+	} {
+		in := e2eSession()
+		tc.mutate(&in)
+		body, err := json.Marshal(service.SubmitRequest{User: "big", Input: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, url := range []string{node.URL, front.URL} {
+			resp, err := http.Post(url+"/v1/sessions", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, url, err)
+			}
+			wantError(t, resp, http.StatusBadRequest, service.CodeInvalidSession)
+		}
+	}
+	resp, err := http.Get(node.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("node /healthz %d after the oversized sessions", resp.StatusCode)
+	}
+}
+
 // TestGatewayForwardsBytes: unary bodies cross the gateway as bytes in both
 // directions — a re-encode would normalize this whitespace and number
 // spelling — and a submit carries the user it was routed by.

@@ -137,17 +137,42 @@ const (
 	MaxSessionIMUSamples = 65536
 )
 
-// Validate checks the structural invariants a session must satisfy before
-// any DSP runs: a finite positive sample rate, a non-empty probe, at least
-// one stop with matched non-empty stereo channels, and an IMU log, with
-// at most MaxSessionStops stops and MaxSessionIMUSamples IMU samples. All
-// failures wrap ErrInvalidSession.
+// Caps on the numbers that size a solve's buffers: the channel length is
+// 12 ms at the sample rate, and each stop's transform is as long as its
+// recording or the probe. The rate range covers the paper's 48 kHz and the
+// 96 kHz parity run. The default sweep has a 0.04 s probe, a 512-sample
+// system IR, stops of about 0.16 s and a 1 ms sync offset at 48 kHz, so
+// each cap leaves at least 12× headroom.
+const (
+	MinSessionSampleRate  = 8000   // Hz
+	MaxSessionSampleRate  = 192000 // Hz
+	MaxSessionClipSeconds = 2      // probe, system IR and each stop's channels
+	MaxSessionSyncOffset  = 1      // seconds, either sign
+)
+
+// Validate checks what a session must satisfy before any DSP runs: a
+// sample rate within [MinSessionSampleRate, MaxSessionSampleRate]; a finite
+// sync offset within ±MaxSessionSyncOffset; a non-empty probe, an IMU log
+// and at least one stop with matched non-empty stereo channels; at most
+// MaxSessionStops stops and MaxSessionIMUSamples IMU samples; and no
+// probe, system IR or stop channel longer than MaxSessionClipSeconds at
+// the sample rate. All failures wrap ErrInvalidSession.
 func (in SessionInput) Validate() error {
-	if in.SampleRate <= 0 || math.IsNaN(in.SampleRate) || math.IsInf(in.SampleRate, 0) {
-		return fmt.Errorf("%w: sample rate %v (want a finite rate > 0)", ErrInvalidSession, in.SampleRate)
+	if !(in.SampleRate >= MinSessionSampleRate && in.SampleRate <= MaxSessionSampleRate) {
+		return fmt.Errorf("%w: sample rate %v (want %d to %d Hz)",
+			ErrInvalidSession, in.SampleRate, MinSessionSampleRate, MaxSessionSampleRate)
+	}
+	if !(math.Abs(in.SyncOffset) <= MaxSessionSyncOffset) {
+		return fmt.Errorf("%w: sync offset %v s (want at most %d s either way)",
+			ErrInvalidSession, in.SyncOffset, MaxSessionSyncOffset)
 	}
 	if len(in.Probe) == 0 {
 		return fmt.Errorf("%w: empty probe signal", ErrInvalidSession)
+	}
+	maxClip := int(MaxSessionClipSeconds * in.SampleRate)
+	if len(in.Probe) > maxClip || len(in.SystemIR) > maxClip {
+		return fmt.Errorf("%w: probe of %d or system IR of %d samples, more than %d s (%d samples) at %v Hz",
+			ErrInvalidSession, len(in.Probe), len(in.SystemIR), MaxSessionClipSeconds, maxClip, in.SampleRate)
 	}
 	if len(in.Stops) == 0 {
 		return fmt.Errorf("%w: session has no measurement stops", ErrInvalidSession)
@@ -169,6 +194,10 @@ func (in SessionInput) Validate() error {
 		if len(stop.Left) != len(stop.Right) {
 			return fmt.Errorf("%w: stop %d has mismatched channels (left %d, right %d samples)",
 				ErrInvalidSession, i, len(stop.Left), len(stop.Right))
+		}
+		if len(stop.Left) > maxClip {
+			return fmt.Errorf("%w: stop %d has %d samples per channel, more than %d s (%d samples) at %v Hz",
+				ErrInvalidSession, i, len(stop.Left), MaxSessionClipSeconds, maxClip, in.SampleRate)
 		}
 	}
 	return nil

@@ -161,6 +161,20 @@ func TestPersonalizeInputValidation(t *testing.T) {
 			}
 		}},
 		{"too many IMU samples", func(s *SessionInput) { s.IMU = make([]imu.Sample, MaxSessionIMUSamples+1) }},
+		{"sample rate 1e20", func(s *SessionInput) { s.SampleRate = 1e20 }},
+		{"1000x sample rate", func(s *SessionInput) { s.SampleRate *= 1000 }},
+		{"sample rate past the cap", func(s *SessionInput) { s.SampleRate = MaxSessionSampleRate + 1 }},
+		{"sample rate under the floor", func(s *SessionInput) { s.SampleRate = MinSessionSampleRate - 1 }},
+		{"2097152-sample probe", func(s *SessionInput) { s.Probe = make([]float64, 2097152) }},
+		{"probe past the cap", func(s *SessionInput) { s.Probe = make([]float64, MaxSessionClipSeconds*48000+1) }},
+		{"system IR past the cap", func(s *SessionInput) { s.SystemIR = make([]float64, MaxSessionClipSeconds*48000+1) }},
+		{"stop past the cap", func(s *SessionInput) {
+			n := MaxSessionClipSeconds*48000 + 1
+			s.Stops[0] = StopRecording{Left: make([]float64, n), Right: make([]float64, n)}
+		}},
+		{"NaN sync offset", func(s *SessionInput) { s.SyncOffset = math.NaN() }},
+		{"Inf sync offset", func(s *SessionInput) { s.SyncOffset = math.Inf(-1) }},
+		{"sync offset past the cap", func(s *SessionInput) { s.SyncOffset = -MaxSessionSyncOffset - 1e-9 }},
 	}
 	for _, tc := range cases {
 		in := valid
@@ -184,6 +198,17 @@ func TestPersonalizeInputValidation(t *testing.T) {
 	atCaps.IMU = make([]imu.Sample, MaxSessionIMUSamples)
 	if err := atCaps.Validate(); err != nil {
 		t.Errorf("input at the stop and IMU caps rejected: %v", err)
+	}
+	for _, rate := range []float64{MinSessionSampleRate, MaxSessionSampleRate} {
+		in := valid
+		in.SampleRate = rate
+		n := int(MaxSessionClipSeconds * rate)
+		in.Probe, in.SystemIR = make([]float64, n), make([]float64, n)
+		in.Stops = []StopRecording{{Left: make([]float64, n), Right: make([]float64, n)}}
+		in.SyncOffset = MaxSessionSyncOffset
+		if err := in.Validate(); err != nil {
+			t.Errorf("input at the %v Hz clip and sync-offset caps rejected: %v", rate, err)
+		}
 	}
 }
 

@@ -36,28 +36,6 @@ func pinnaMatrix(a, b *pinna.Response, sampleRate float64) [][]float64 {
 	return m
 }
 
-// matrixDiagonality measures how strongly a correlation matrix concentrates
-// on its diagonal: mean(diag) - mean(offdiag).
-func matrixDiagonality(m [][]float64) float64 {
-	var diag, off float64
-	var nd, no int
-	for i := range m {
-		for j := range m[i] {
-			if i == j {
-				diag += m[i][j]
-				nd++
-			} else {
-				off += m[i][j]
-				no++
-			}
-		}
-	}
-	if nd == 0 || no == 0 {
-		return 0
-	}
-	return diag/float64(nd) - off/float64(no)
-}
-
 // Fig2aPinnaSameUser reproduces Fig 2(a): one user's pinna responses across
 // arrival angles correlate on the diagonal (≈1:1 angle mapping).
 func Fig2aPinnaSameUser(s *Study) (*Result, error) {
@@ -65,7 +43,7 @@ func Fig2aPinnaSameUser(s *Study) (*Result, error) {
 	rng := v.Rand("pinna")
 	p := pinna.New(rng)
 	m := pinnaMatrix(p, p, s.Cfg.SampleRate)
-	d := matrixDiagonality(m)
+	d := (&core.PinnaProbe{Corr: m}).Diagonality()
 	text := "== Fig 2a: same-user pinna correlation matrix (18 angles, 10° steps) ==\n" +
 		heatmap(m) +
 		fmt.Sprintf("diagonality (mean diag - mean offdiag): %.3f (paper: strongly diagonal)\n", d)
@@ -85,9 +63,9 @@ func Fig2bPinnaCrossUser(s *Study) (*Result, error) {
 	alice := pinna.New(vols[0].Rand("pinna"))
 	bobIdx := 1 % len(vols)
 	bob := pinna.New(vols[bobIdx].Rand("pinna"))
-	same := matrixDiagonality(pinnaMatrix(alice, alice, s.Cfg.SampleRate))
-	cross := matrixDiagonality(pinnaMatrix(alice, bob, s.Cfg.SampleRate))
+	same := (&core.PinnaProbe{Corr: pinnaMatrix(alice, alice, s.Cfg.SampleRate)}).Diagonality()
 	m := pinnaMatrix(alice, bob, s.Cfg.SampleRate)
+	cross := (&core.PinnaProbe{Corr: m}).Diagonality()
 	text := "== Fig 2b: cross-user pinna correlation matrix ==\n" +
 		heatmap(m) +
 		fmt.Sprintf("diagonality same-user %.3f vs cross-user %.3f (paper: cross-user not diagonal)\n", same, cross)

@@ -10,19 +10,15 @@ import (
 )
 
 // Payload codec identity: every profile payload starts with this magic and
-// a format version, so codec revisions coexist in one store. Version 2
-// adds the summary: an opaque, length-prefixed byte string between the
-// version and the profile body, which the store keeps in its index (see
-// Store.Summary) so a reader can learn what it needs about a profile
-// without decoding the body. Version 1 payloads (no summary) stay
-// readable.
+// a format version. The summary is an opaque, length-prefixed byte string
+// between the version and the profile body, which the store keeps in its
+// index (see Store.Summary) so a reader can learn what it needs about a
+// profile without decoding the body. Any other version is refused.
 //
-//	v1: magic u32 │ version u16 = 1 │ body
-//	v2: magic u32 │ version u16 = 2 │ summary (uvarint length + bytes) │ body
+//	magic u32 │ version u16 = 2 │ summary (uvarint length + bytes) │ body
 const (
-	payloadMagic    uint32 = 0x46505155 // "UQPF" little-endian
-	payloadVersion1 uint16 = 1
-	payloadVersion  uint16 = 2
+	payloadMagic   uint32 = 0x46505155 // "UQPF" little-endian
+	payloadVersion uint16 = 2
 )
 
 // maxSummaryLen bounds a payload summary: the index holds every live
@@ -254,8 +250,8 @@ func appendHRIRs(b []byte, hs []hrtf.HRIR, tableRate float64, scratch []byte) []
 }
 
 // readPayloadHeader checks a payload's magic and version and returns its
-// summary (nil for version 1), leaving r at the start of the body. The
-// summary aliases the payload.
+// summary, leaving r at the start of the body. The summary aliases the
+// payload.
 func readPayloadHeader(r *byteReader) ([]byte, error) {
 	magic, err := r.u32()
 	if err != nil {
@@ -268,11 +264,7 @@ func readPayloadHeader(r *byteReader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case payloadVersion1:
-		return nil, nil
-	case payloadVersion:
-	default:
+	if version != payloadVersion {
 		return nil, fmt.Errorf("segstore: unsupported payload version %d", version)
 	}
 	n, err := r.uvarint()
@@ -286,8 +278,8 @@ func readPayloadHeader(r *byteReader) ([]byte, error) {
 }
 
 // payloadSummary returns the summary of a profile payload without decoding
-// its body: nil for a version 1 payload, an empty summary, or a payload
-// whose header does not parse (DecodeProfile reports that one).
+// its body: nil for an empty summary or a payload whose header does not
+// parse (DecodeProfile reports that one).
 func payloadSummary(payload []byte) []byte {
 	sum, err := readPayloadHeader(&byteReader{b: payload})
 	if err != nil || len(sum) == 0 {
@@ -296,8 +288,8 @@ func payloadSummary(payload []byte) []byte {
 	return sum
 }
 
-// DecodeProfile parses a payload written by EncodeProfile (or by an older
-// version 1 codec), skipping its summary.
+// DecodeProfile parses a payload written by EncodeProfile, skipping its
+// summary.
 func DecodeProfile(payload []byte) (*Profile, error) {
 	r := &byteReader{b: payload}
 	if _, err := readPayloadHeader(r); err != nil {

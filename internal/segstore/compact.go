@@ -85,25 +85,10 @@ func (s *Store) pickVictim() *segment {
 	return victim
 }
 
-// oldestSegID returns the smallest live segment id (tombstone GC bound).
-func (s *Store) oldestSegID() uint32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	oldest := ^uint32(0)
-	for id := range s.segs {
-		if id < oldest {
-			oldest = id
-		}
-	}
-	return oldest
-}
-
 // compactOnce rewrites one victim segment: every record the index still
 // points at is re-appended to the active segment and repointed; superseded
-// records are dropped; tombstones are carried forward unless the victim is
-// the oldest segment (then nothing older can resurrect the key, so the
-// tombstone itself is garbage). The victim file is deleted once the
-// relocated records are durable.
+// records are dropped. The victim file is deleted once the relocated
+// records are durable.
 func (s *Store) compactOnce() (bool, error) {
 	if s.closed.Load() {
 		return false, nil
@@ -112,23 +97,19 @@ func (s *Store) compactOnce() (bool, error) {
 	if victim == nil {
 		return false, nil
 	}
-	oldest := s.oldestSegID() == victim.id
 
 	// Segments that received relocated records; each must be made durable
 	// before the victim — the only other copy — is unlinked.
 	relocSegs := make(map[uint32]bool)
 	sr := io.NewSectionReader(victim.f, segHeaderSize, victim.size.Load()-segHeaderSize)
 	_, err := scanSegment(sr, segHeaderSize, func(rec record, off, size int64) error {
-		if s.compactHook != nil {
-			s.compactHook(rec.key)
-		}
 		// appendMu is held across check + relocate + repoint. Writers
 		// update the index under appendMu too (appendAndIndex), so the
 		// entry checked here cannot be superseded mid-relocation. Without
-		// that, a Delete racing this callback leaves a stale low-LSN copy
-		// of the put in a segment NEWER than its tombstone; when the
-		// tombstone is later GC'd, a restart's LSN replay resurrects the
-		// deleted key from the stale copy.
+		// that, a Put racing this callback is shadowed: the compactor
+		// repoints the index from the new version at its relocated copy
+		// of the old one, and readers get the old profile until a restart
+		// replays the LSNs.
 		s.appendMu.Lock()
 		defer s.appendMu.Unlock()
 		s.mu.RLock()
@@ -137,21 +118,9 @@ func (s *Store) compactOnce() (bool, error) {
 		if !ok || cur.seg != victim.id || cur.off != off {
 			return nil // superseded: drop
 		}
-		if rec.kind == kindTombstone && oldest {
-			// No older segment can hold a put for this key, and no newer
-			// segment can hold a lower-LSN record for it (relocations land
-			// strictly before the tombstone in log order — see the locking
-			// note above): the tombstone has nothing left to shadow.
-			s.mu.Lock()
-			delete(s.index, rec.key)
-			victim.live -= size
-			victim.dead += size
-			s.mu.Unlock()
-			return nil
-		}
 		// Relocate, preserving the original LSN so replay ordering is
 		// unchanged, then repoint the index at the new copy.
-		newLoc, _, err := s.appendLocked(rec.kind, rec.key, rec.payload, rec.lsn, false)
+		newLoc, _, err := s.appendLocked(rec.key, rec.payload, rec.lsn, false)
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,7 @@
 //
 //	┌──────────┬──────┬─────────┬───────────┬─────────────┬───────┬─────────┐
 //	│ magic u32│ kind │ lsn     │ key       │ payload     │ crc32 │ chain   │
-//	│ "UQR1"   │ u8   │ uvarint │ uvarint+b │ uvarint+b   │ u32   │ u64     │
+//	│ "UQR1"   │ u8=1 │ uvarint │ uvarint+b │ uvarint+b   │ u32   │ u64     │
 //	└──────────┴──────┴─────────┴───────────┴─────────────┴───────┴─────────┘
 //
 // The CRC (Castagnoli) covers everything before it; the chain word is a
@@ -18,13 +18,13 @@
 // record. Open recovers every record before the first damaged byte and
 // reports (never silently drops) the truncated tail.
 //
-// Records are never rewritten in place. A Put appends a new record whose
-// log sequence number (lsn) supersedes any older record for the same key;
-// a Delete appends a tombstone. The in-memory index maps key → (segment,
-// offset, length, summary) of the winning record, so Get is one pread +
-// decode, and Keys and Summary are pure index reads. Background compaction rewrites segments
-// whose dead-byte ratio crosses a threshold, reclaiming superseded
-// records.
+// Records are never rewritten in place or deleted. A Put appends a new
+// record whose log sequence number (lsn) supersedes any older record for
+// the same key. The in-memory index maps key → (segment, offset, length,
+// summary) of the winning record, so Get is one pread + decode, and Keys
+// and Summary are pure index reads. Background compaction rewrites
+// segments whose dead-byte ratio crosses a threshold, reclaiming
+// superseded records.
 //
 // Durability is group-committed: a Put appends under a short lock, then
 // joins the current fsync batch — one Sync covers every record appended
@@ -35,8 +35,9 @@
 // The profile payload codec (see codec.go) stores float64 taps losslessly
 // — XOR-compressed (Gorilla-style) when that wins, raw little-endian
 // otherwise — with delta-encoded per-angle tap-length metadata, so a
-// stored table round-trips bit-exactly. A payload may open with a short
-// opaque summary (PutWithSummary) that Open and every write copy into the
-// index, so a caller can read what it keeps there about each profile
-// without decoding one.
+// stored table round-trips bit-exactly. A payload opens with a short
+// opaque summary (PutWithSummary; empty for Put) that Open and every write
+// copy into the index, so a caller can read what it keeps there about each
+// profile without decoding one. Payloads of an older codec version are
+// refused.
 package segstore

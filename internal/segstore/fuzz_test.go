@@ -13,8 +13,9 @@ import (
 // FuzzProfileCodecRoundTrip feeds arbitrary bytes to DecodeProfile: it must
 // either reject them or return a profile that re-encodes losslessly, behind
 // the same summary. It must never panic or allocate absurdly (the length
-// guards are the defence). Seeds cover v2 payloads with and without a
-// summary, v1 payloads, and v2 headers whose summary length is malformed.
+// guards are the defence). Seeds cover payloads with and without a
+// summary, version 1 payloads (refused), and headers whose summary length
+// is malformed.
 func FuzzProfileCodecRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3} {
 		payload, err := EncodeProfile(testProfile(fmt.Sprintf("seed%d", seed), 5, 16, seed))
@@ -130,7 +131,8 @@ func FuzzOpenRecovers(f *testing.F) {
 	})
 }
 
-// buildSegmentBytes renders a small valid store into memory via Snapshot.
+// buildSegmentBytes writes a small valid store and returns its one
+// segment file.
 func buildSegmentBytes(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -138,15 +140,17 @@ func buildSegmentBytes(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer s.Close()
 	for i := 0; i < 4; i++ {
 		if err := s.Put(testProfile(fmt.Sprintf("user-%d", i), 3, 12, int64(i))); err != nil {
 			f.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()
+	b, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
 }

@@ -23,8 +23,8 @@ var segMagic = [8]byte{'U', 'Q', 'S', 'E', 'G', 0, 0, 1}
 const (
 	recMagic uint32 = 0x31525155 // "UQR1" little-endian
 
-	kindProfile   byte = 1
-	kindTombstone byte = 2
+	// kindProfile is the kind byte of every record the store writes.
+	kindProfile byte = 1
 
 	// maxKeyLen bounds record keys; service user ids are <= 64 bytes.
 	maxKeyLen = 4096
@@ -70,13 +70,13 @@ func checkSegHeader(b []byte) error {
 	return nil
 }
 
-// appendRecordBytes frames one record: header fields, CRC over them, and
-// the chain word derived from the previous chain state. It returns the
-// framed bytes and the new chain state.
-func appendRecordBytes(dst []byte, kind byte, lsn uint64, key string, payload []byte, prevChain uint64) ([]byte, uint64) {
+// appendRecordBytes frames one profile record: header fields, CRC over
+// them, and the chain word derived from the previous chain state. It
+// returns the framed bytes and the new chain state.
+func appendRecordBytes(dst []byte, lsn uint64, key string, payload []byte, prevChain uint64) ([]byte, uint64) {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, recMagic)
-	dst = append(dst, kind)
+	dst = append(dst, kindProfile)
 	dst = binary.AppendUvarint(dst, lsn)
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
@@ -89,9 +89,9 @@ func appendRecordBytes(dst []byte, kind byte, lsn uint64, key string, payload []
 	return dst, chain
 }
 
-// record is one framed record as seen by the scanner or a point read.
+// record is one framed record as seen by the scanner or a point read. Its
+// kind byte is not kept: every record is a profile record.
 type record struct {
-	kind    byte
 	lsn     uint64
 	key     string
 	payload []byte
@@ -112,7 +112,7 @@ func parseRecordBytes(buf []byte) (record, error) {
 	if magic != recMagic {
 		return rec, fmt.Errorf("segstore: bad record magic %#x", magic)
 	}
-	if rec.kind, err = r.u8(); err != nil {
+	if _, err = r.u8(); err != nil { // kind
 		return rec, err
 	}
 	if rec.lsn, err = r.uvarint(); err != nil {
@@ -253,10 +253,9 @@ func (sc *recordScanner) next(prevChain uint64) (record, uint64, error) {
 	if got := binary.LittleEndian.Uint32(sc.buf); got != recMagic {
 		return rec, 0, fmt.Errorf("segstore: bad record magic %#x", got)
 	}
-	if err := sc.read(1); err != nil {
+	if err := sc.read(1); err != nil { // kind
 		return rec, 0, err
 	}
-	rec.kind = sc.buf[4]
 	var err error
 	if rec.lsn, err = sc.uvarint(); err != nil {
 		return rec, 0, err

@@ -1,8 +1,9 @@
 package segstore
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -214,20 +215,14 @@ func TestStoreBasicLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Overwrite one, delete one.
+	// Overwrite one.
 	updated := testProfile("bob", 9, 32, 99)
 	updated.JobID = "updated"
 	if err := s.Put(updated); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("carol"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Keys(); len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
+	if got := s.Keys(); len(got) != 3 || got[0] != "alice" || got[1] != "bob" || got[2] != "carol" {
 		t.Fatalf("Keys() = %v", got)
-	}
-	if _, err := s.Get("carol"); err == nil {
-		t.Fatal("deleted key still readable")
 	}
 	b, err := s.Get("bob")
 	if err != nil {
@@ -237,7 +232,7 @@ func TestStoreBasicLifecycle(t *testing.T) {
 		t.Fatalf("overwrite lost: JobID %q", b.JobID)
 	}
 	st := s.Stats()
-	if st.Profiles != 2 || st.DeadBytes == 0 {
+	if st.Profiles != 3 || st.DeadBytes == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -253,81 +248,14 @@ func TestStoreBasicLifecycle(t *testing.T) {
 	if s2.Stats().Recovery.Damaged() {
 		t.Fatalf("clean close reported damage: %+v", s2.Stats().Recovery)
 	}
-	if got := s2.Keys(); len(got) != 2 {
+	if got := s2.Keys(); len(got) != 3 {
 		t.Fatalf("after reopen Keys() = %v", got)
-	}
-	if _, err := s2.Get("carol"); err == nil {
-		t.Fatal("tombstone lost on reopen")
 	}
 	got, err := s2.Get("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	profilesBitsEqual(t, updated, got)
-}
-
-func TestStoreIterateAndSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	want := map[string]*Profile{}
-	var batch []*Profile
-	for i := 0; i < 8; i++ {
-		p := testProfile(fmt.Sprintf("user-%02d", i), 7, 24, int64(i))
-		want[p.User] = p
-		batch = append(batch, p)
-	}
-	if err := s.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	prev := ""
-	if err := s.Iterate(func(p *Profile) error {
-		if p.User <= prev {
-			t.Fatalf("iterate out of order: %q after %q", p.User, prev)
-		}
-		prev = p.User
-		profilesBitsEqual(t, want[p.User], p)
-		seen[p.User] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("iterated %d of %d", len(seen), len(want))
-	}
-
-	// A snapshot written as a fresh single-segment store must open clean
-	// with identical content.
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, segName(1)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Stats().Recovery.Damaged() {
-		t.Fatalf("snapshot store reports damage: %+v", s2.Stats().Recovery)
-	}
-	if got := s2.Len(); got != len(want) {
-		t.Fatalf("snapshot holds %d profiles, want %d", got, len(want))
-	}
-	for u, p := range want {
-		got, err := s2.Get(u)
-		if err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
-		profilesBitsEqual(t, p, got)
-	}
 }
 
 func TestSegmentRollAndCompaction(t *testing.T) {
@@ -393,139 +321,15 @@ func TestSegmentRollAndCompaction(t *testing.T) {
 	}
 }
 
-func TestTombstoneSurvivesCompactionUntilOldest(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{
-		SegmentBytes: 8 << 10, MinCompactBytes: 1, NoSync: true, DisableCompaction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// seg1: put the key; force a roll; then delete (tombstone lands later).
-	if err := s.Put(testProfile("ghost", 5, 64, 1)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := s.Put(testProfile(fmt.Sprintf("fill%d", i), 5, 64, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Delete("ghost"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Whatever compaction did, a reopen must NOT resurrect the key.
-	s.Close()
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, err := s2.Get("ghost"); err == nil {
-		t.Fatal("deleted key resurrected after compaction + reopen")
-	}
-}
-
-// TestCompactDeleteRaceNoResurrection pins the exact interleaving that used
-// to resurrect deleted keys: a Delete landing while the compactor is
-// relocating that key's put. The tombstone then sat in an OLDER segment
-// than the stale relocated copy (original low LSN), so once tombstone GC
-// dropped it, a reopen's LSN replay brought the key back from the stale
-// copy. compactOnce now holds appendMu across check + relocate + repoint,
-// which forces the Delete to either complete first (the compactor then
-// skips the relocation) or land after it (tombstone wins in log order).
-func TestCompactDeleteRaceNoResurrection(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{
-		MinCompactBytes: 1, CompactRatio: 0.2, NoSync: true, DisableCompaction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	roll := func() {
-		s.appendMu.Lock()
-		err := s.rollLocked()
-		s.appendMu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// seg1: a dead filler copy (compaction bait), the ghost put, and the
-	// filler overwrite. Then seal it.
-	if err := s.Put(testProfile("filler", 3, 16, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testProfile("ghost", 3, 16, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testProfile("filler", 3, 16, 2)); err != nil {
-		t.Fatal(err)
-	}
-	roll()
-	if err := s.Put(testProfile("anchor", 3, 16, 3)); err != nil {
-		t.Fatal(err)
-	}
-	// At the moment the compactor reaches any record of the ghost's
-	// segment, delete the ghost and roll — so the tombstone lands in the
-	// current segment and any (buggy) stale relocation would land in a
-	// newer one.
-	fired := false
-	s.compactHook = func(key string) {
-		if fired || key != "ghost" {
-			return
-		}
-		fired = true
-		if err := s.Delete("ghost"); err != nil {
-			t.Errorf("delete ghost: %v", err)
-		}
-		roll()
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.compactHook = nil
-	if !fired {
-		t.Fatal("compaction never visited the ghost record")
-	}
-	if s.Has("ghost") {
-		t.Fatal("ghost still live right after delete + compaction")
-	}
-	// Kill the tombstone's segment: overwrite its other live record so it
-	// passes the dead ratio, then compact it away as the oldest segment
-	// (tombstone GC).
-	if err := s.Put(testProfile("anchor", 3, 16, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// The replayed log must agree that the key is gone.
-	s.Close()
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Has("ghost") {
-		t.Fatal("deleted key resurrected by reopen: stale relocated copy outlived its tombstone")
-	}
-	if _, err := s2.Get("anchor"); err != nil {
-		t.Fatalf("anchor lost: %v", err)
-	}
-}
-
-// TestCompactDeleteChurnNoResurrection interleaves deletes with compaction
-// relocations and then replays the log: a delete must stay deleted across
-// compaction and reopen. The dangerous interleaving is a Delete landing
-// between the compactor's index check and its relocation — without the
-// appendMu serialization in compactOnce, the relocated put (original low
-// LSN) ends up after the tombstone in log order, and once the tombstone's
-// segment is compacted away as oldest, a reopen resurrects the key.
-func TestCompactDeleteChurnNoResurrection(t *testing.T) {
+// TestCompactPutChurnKeepsLastVersion races overwrites against compaction:
+// after every round, and after a reopen, each key must read its last
+// acknowledged version. The dangerous interleaving is a Put landing
+// between the compactor's index check and its relocation of the key's
+// previous version. Without the appendMu serialization in compactOnce,
+// the compactor then repoints the index from the new record at its
+// relocated copy of the old one, and Get serves the old version until a
+// restart replays the LSNs.
+func TestCompactPutChurnKeepsLastVersion(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
 		SegmentBytes: 4 << 10, MinCompactBytes: 1, CompactRatio: 0.3,
@@ -535,20 +339,39 @@ func TestCompactDeleteChurnNoResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	const keys = 6
-	for round := 0; round < 60; round++ {
+	put := func(user string, version int) error {
+		p := testProfile(user, 3, 32, int64(version))
+		p.JobID = fmt.Sprintf("v%d", version)
+		return s.Put(p)
+	}
+	check := func(s *Store, version int) {
+		t.Helper()
+		for k := 0; k < keys; k++ {
+			key := fmt.Sprintf("churn%d", k)
+			p, err := s.Get(key)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if want := fmt.Sprintf("v%d", version); p.JobID != want {
+				t.Fatalf("%s reads version %s, want its last acknowledged %s", key, p.JobID, want)
+			}
+		}
+	}
+	const rounds = 60
+	for round := 0; round < rounds; round++ {
 		// Put the churn keys, then overwrite long-lived keys so the puts'
 		// segment rolls and becomes a compaction victim holding live records.
 		for k := 0; k < keys; k++ {
-			if err := s.Put(testProfile(fmt.Sprintf("churn%d", k), 3, 32, int64(round))); err != nil {
+			if err := put(fmt.Sprintf("churn%d", k), 2*round); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 4; i++ {
-			if err := s.Put(testProfile(fmt.Sprintf("keep%d", i), 3, 32, int64(round))); err != nil {
+			if err := put(fmt.Sprintf("keep%d", i), round); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Now race the deletes against the compactor relocating those puts.
+		// Now race new versions against the compactor relocating the old.
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(keys + 1)
@@ -563,8 +386,8 @@ func TestCompactDeleteChurnNoResurrection(t *testing.T) {
 			go func(k int) {
 				defer wg.Done()
 				<-start
-				if err := s.Delete(fmt.Sprintf("churn%d", k)); err != nil {
-					t.Errorf("delete churn%d: %v", k, err)
+				if err := put(fmt.Sprintf("churn%d", k), 2*round+1); err != nil {
+					t.Errorf("put churn%d: %v", k, err)
 				}
 			}(k)
 		}
@@ -573,16 +396,12 @@ func TestCompactDeleteChurnNoResurrection(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-	}
-	// Seal the tombstones' segment and give compaction a chance to GC them.
-	for i := 0; i < 8; i++ {
-		if err := s.Put(testProfile(fmt.Sprintf("fill%d", i), 5, 64, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		check(s, 2*round+1)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	check(s, 2*rounds-1)
 	s.Close()
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -592,12 +411,7 @@ func TestCompactDeleteChurnNoResurrection(t *testing.T) {
 	if rec := s2.Stats().Recovery; rec.Damaged() {
 		t.Fatalf("churned store reopened damaged: %+v", rec)
 	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("churn%d", k)
-		if s2.Has(key) {
-			t.Errorf("deleted key %s resurrected after compaction + reopen", key)
-		}
-	}
+	check(s2, 2*rounds-1)
 }
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
@@ -739,6 +553,20 @@ func TestReadOnlyStore(t *testing.T) {
 	}
 	if err := ro.Compact(); err == nil {
 		t.Fatal("read-only store accepted a Compact")
+	}
+}
+
+// TestReadOnlyOpenOfMissingDir: a read-only open of a directory that does
+// not exist fails and creates nothing, so a mistyped directory is reported
+// instead of turning into an empty store.
+func TestReadOnlyOpenOfMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "typo")
+	if s, err := Open(dir, Options{ReadOnly: true}); err == nil {
+		s.Close()
+		t.Fatal("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("read-only open left %s behind (stat: %v)", dir, err)
 	}
 }
 

@@ -54,7 +54,6 @@ type recLoc struct {
 	off     int64 // byte offset of the framed record
 	size    int64 // framed record size
 	lsn     uint64
-	deleted bool   // the winning record is a tombstone
 	summary string // the record's payload summary ("" for none)
 }
 
@@ -67,7 +66,7 @@ type segment struct {
 	// appender advances it under appendMu while Stats and the compactor
 	// read it under mu — two different locks.
 	size atomic.Int64
-	live int64 // bytes of records the index points at (incl. live tombstones)
+	live int64 // bytes of records the index points at
 	dead int64 // bytes of superseded records
 }
 
@@ -98,7 +97,7 @@ func (r RecoveryReport) Damaged() bool { return r.DamagedSegments > 0 }
 
 // Stats is a point-in-time store summary.
 type Stats struct {
-	// Profiles counts live keys (tombstoned keys excluded).
+	// Profiles counts stored keys.
 	Profiles int
 	// Segments counts on-disk segment files.
 	Segments int
@@ -107,9 +106,9 @@ type Stats struct {
 	// LiveBytes / DeadBytes split record bytes into index-reachable and
 	// superseded.
 	LiveBytes, DeadBytes int64
-	// Puts / Gets / Deletes count operations; Gets counts full record
-	// decodes (there is no cache at this layer).
-	Puts, Gets, Deletes uint64
+	// Puts / Gets count operations; Gets counts full record decodes
+	// (there is no cache at this layer).
+	Puts, Gets uint64
 	// GroupCommits counts fsyncs; CommitWaiters counts Put calls that
 	// requested durability. Waiters/Commits is the group-commit batching
 	// factor.
@@ -156,18 +155,18 @@ type Store struct {
 	wg       sync.WaitGroup
 	recovery RecoveryReport
 
-	puts, gets, deletes         atomic.Uint64
+	puts, gets                  atomic.Uint64
 	groupCommits, commitWaiters atomic.Uint64
 	compactions                 atomic.Uint64
-	syncHook                    func()           // test seam: runs in the sync leader before fsync
-	compactHook                 func(key string) // test seam: runs before each compaction record's locked section
+	syncHook                    func() // test seam: runs in the sync leader before fsync
 }
 
 const segSuffix = ".uqs"
 
 func segName(id uint32) string { return fmt.Sprintf("seg-%08d%s", id, segSuffix) }
 
-// Open opens (creating if needed) a segment store rooted at dir. Damaged
+// Open opens a segment store rooted at dir, creating the directory unless
+// ReadOnly is set: a read-only open of a missing directory fails. Damaged
 // tails are recovered around and reported via Stats().Recovery; the active
 // segment's torn tail is truncated (unless ReadOnly) so appends restart
 // from a verified boundary.
@@ -176,8 +175,10 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, errors.New("segstore: store needs a directory")
 	}
 	opt = opt.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("segstore: create store dir: %w", err)
+	if !opt.ReadOnly {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("segstore: create store dir: %w", err)
+		}
 	}
 	s := &Store{
 		dir:     dir,
@@ -314,9 +315,8 @@ func (s *Store) load() error {
 
 // scanCandidate is one record seen during load, before winner resolution.
 type scanCandidate struct {
-	key  string
-	loc  recLoc
-	kind byte
+	key string
+	loc recLoc
 }
 
 type segScan struct {
@@ -361,9 +361,8 @@ func (s *Store) scanOne(id uint32) (*segment, *segScan, error) {
 	sr, err := scanSegment(io.NewSectionReader(f, segHeaderSize, seg.size.Load()-segHeaderSize), segHeaderSize,
 		func(rec record, off, size int64) error {
 			res.cands = append(res.cands, scanCandidate{
-				key:  rec.key,
-				loc:  newRecLoc(id, off, size, rec.lsn, rec.kind, rec.payload),
-				kind: rec.kind,
+				key: rec.key,
+				loc: newRecLoc(id, off, size, rec.lsn, rec.payload),
 			})
 			return nil
 		})
@@ -380,12 +379,8 @@ func (s *Store) scanOne(id uint32) (*segment, *segScan, error) {
 
 // newRecLoc builds the index entry for a record, copying its payload's
 // summary out of the payload so the entry keeps no reference to it.
-func newRecLoc(seg uint32, off, size int64, lsn uint64, kind byte, payload []byte) recLoc {
-	loc := recLoc{seg: seg, off: off, size: size, lsn: lsn, deleted: kind == kindTombstone}
-	if kind == kindProfile {
-		loc.summary = string(payloadSummary(payload))
-	}
-	return loc
+func newRecLoc(seg uint32, off, size int64, lsn uint64, payload []byte) recLoc {
+	return recLoc{seg: seg, off: off, size: size, lsn: lsn, summary: string(payloadSummary(payload))}
 }
 
 func (s *Store) createSegment(id uint32) (*segment, error) {
@@ -414,9 +409,6 @@ func (s *Store) createSegment(id uint32) (*segment, error) {
 	return seg, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Put durably persists a profile under its User key (group-committed
 // unless Options.NoSync), with an empty summary.
 func (s *Store) Put(p *Profile) error { return s.PutWithSummary(p, nil) }
@@ -432,7 +424,7 @@ func (s *Store) PutWithSummary(p *Profile, summary []byte) error {
 	if err != nil {
 		return err
 	}
-	seq, err := s.appendAndIndex(kindProfile, p.User, payload)
+	seq, err := s.appendAndIndex(p.User, payload)
 	if err != nil {
 		return err
 	}
@@ -456,7 +448,7 @@ func (s *Store) PutBatch(ps []*Profile) error {
 		if err != nil {
 			return err
 		}
-		seq, err := s.appendAndIndex(kindProfile, p.User, payload)
+		seq, err := s.appendAndIndex(p.User, payload)
 		if err != nil {
 			return err
 		}
@@ -473,41 +465,16 @@ func (s *Store) PutBatch(ps []*Profile) error {
 	return nil
 }
 
-// Delete appends a tombstone for the key. Deleting an absent key is a
-// no-op returning nil.
-func (s *Store) Delete(key string) error {
-	if key == "" {
-		return errors.New("segstore: empty key")
-	}
-	s.mu.RLock()
-	loc, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok || loc.deleted {
-		return nil
-	}
-	seq, err := s.appendAndIndex(kindTombstone, key, nil)
-	if err != nil {
-		return err
-	}
-	s.deletes.Add(1)
-	if err := s.commit(seq); err != nil {
-		return err
-	}
-	s.maybeKickCompaction()
-	return nil
-}
-
-// appendAndIndex frames and appends one record, then repoints the index.
-// Both steps happen under appendMu: a writer's append and its index update
-// are atomic with respect to the compactor's check-relocate-repoint
+// appendAndIndex frames and appends one profile record, then repoints the
+// index. Both steps happen under appendMu: a writer's append and its index
+// update are atomic with respect to the compactor's check-relocate-repoint
 // sequence, so compaction can never relocate a copy the writer's record
-// just superseded — which would put a stale low-LSN record into the log
-// AFTER a tombstone and let a later replay resurrect the key once the
-// tombstone is GC'd. It returns the record's commit sequence number.
-func (s *Store) appendAndIndex(kind byte, key string, payload []byte) (uint64, error) {
+// just superseded, which would point the index back at the older version.
+// It returns the record's commit sequence number.
+func (s *Store) appendAndIndex(key string, payload []byte) (uint64, error) {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	loc, seq, err := s.appendLocked(kind, key, payload, 0, true)
+	loc, seq, err := s.appendLocked(key, payload, 0, true)
 	if err != nil {
 		return 0, err
 	}
@@ -517,12 +484,12 @@ func (s *Store) appendAndIndex(kind byte, key string, payload []byte) (uint64, e
 	return seq, nil
 }
 
-// appendLocked writes one framed record to the active segment (rolling it
-// first if full). With fresh=true the record is stamped with a new LSN;
+// appendLocked writes one framed profile record to the active segment
+// (rolling it first if full). With fresh=true the record is stamped with a new LSN;
 // compaction passes fresh=false to relocate records under their *original*
 // LSN, so a replay after restart still ranks them below any Put that raced
 // the compactor. Caller holds appendMu; fsync happens later in commit.
-func (s *Store) appendLocked(kind byte, key string, payload []byte, lsn uint64, fresh bool) (recLoc, uint64, error) {
+func (s *Store) appendLocked(key string, payload []byte, lsn uint64, fresh bool) (recLoc, uint64, error) {
 	if s.opt.ReadOnly {
 		return recLoc{}, 0, ErrReadOnly
 	}
@@ -538,7 +505,7 @@ func (s *Store) appendLocked(kind byte, key string, payload []byte, lsn uint64, 
 		lsn = s.nextLSN
 		s.nextLSN++
 	}
-	buf, chain := appendRecordBytes(nil, kind, lsn, key, payload, s.chain)
+	buf, chain := appendRecordBytes(nil, lsn, key, payload, s.chain)
 	off := s.active.size.Load()
 	if _, err := s.active.f.WriteAt(buf, off); err != nil {
 		// The tail may now hold a partial record; the chain catches it on
@@ -551,7 +518,7 @@ func (s *Store) appendLocked(kind byte, key string, payload []byte, lsn uint64, 
 	s.active.size.Store(off + int64(len(buf)))
 	s.chain = chain
 	s.appendedSeq++
-	return newRecLoc(s.active.id, off, int64(len(buf)), lsn, kind, payload), s.appendedSeq, nil
+	return newRecLoc(s.active.id, off, int64(len(buf)), lsn, payload), s.appendedSeq, nil
 }
 
 // rollLocked seals the active segment (fsync) and opens the next one.
@@ -660,13 +627,13 @@ func (s *Store) readRecord(key string) (record, error) {
 		s.mu.RLock()
 		loc, ok := s.index[key]
 		var f *os.File
-		if ok && !loc.deleted {
+		if ok {
 			if seg := s.segs[loc.seg]; seg != nil {
 				f = seg.f
 			}
 		}
 		s.mu.RUnlock()
-		if !ok || loc.deleted {
+		if !ok {
 			return record{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
 		if f != nil {
@@ -692,102 +659,36 @@ func (s *Store) readRecord(key string) (record, error) {
 	}
 }
 
-// Summary returns the summary stored with key's live record (nil when the
-// record has none, as version 1 payloads do) and the record's LSN, which
-// compaction preserves. ok is false when key has no live record. It is a
-// pure index read: no disk I/O, no decode.
-func (s *Store) Summary(key string) (summary []byte, lsn uint64, ok bool) {
-	s.mu.RLock()
-	loc, found := s.index[key]
-	s.mu.RUnlock()
-	if !found || loc.deleted {
-		return nil, 0, false
-	}
-	if loc.summary != "" {
-		summary = []byte(loc.summary)
-	}
-	return summary, loc.lsn, true
-}
-
-// Has reports whether a live record exists for key (pure index read).
-func (s *Store) Has(key string) bool {
+// Summary returns the summary stored with key's record (nil when the
+// record has none). ok is false when key has no record. It is a pure index
+// read: no disk I/O, no decode.
+func (s *Store) Summary(key string) (summary []byte, ok bool) {
 	s.mu.RLock()
 	loc, ok := s.index[key]
 	s.mu.RUnlock()
-	return ok && !loc.deleted
+	if ok && loc.summary != "" {
+		summary = []byte(loc.summary)
+	}
+	return summary, ok
 }
 
-// Keys returns every live key, sorted. It never touches disk.
+// Keys returns every stored key, sorted. It never touches disk.
 func (s *Store) Keys() []string {
 	s.mu.RLock()
 	keys := make([]string, 0, len(s.index))
-	for k, loc := range s.index {
-		if !loc.deleted {
-			keys = append(keys, k)
-		}
+	for k := range s.index {
+		keys = append(keys, k)
 	}
 	s.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
 }
 
-// Len returns the number of live keys.
+// Len returns the number of stored keys.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, loc := range s.index {
-		if !loc.deleted {
-			n++
-		}
-	}
-	return n
-}
-
-// Iterate streams every live profile in key order. fn errors abort the
-// iteration. Profiles written or deleted concurrently may or may not be
-// observed; each yielded profile is individually consistent.
-func (s *Store) Iterate(fn func(*Profile) error) error {
-	for _, key := range s.Keys() {
-		p, err := s.Get(key)
-		if errors.Is(err, ErrNotFound) {
-			continue // deleted between Keys and Get
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Snapshot streams every live record to w as one self-contained segment —
-// the replication/rebalance wire format. The result is exactly what a
-// fresh single-segment store directory would contain.
-func (s *Store) Snapshot(w io.Writer) error {
-	if _, err := w.Write(segFileHeader()); err != nil {
-		return err
-	}
-	chain := chainSeed
-	var lsn uint64
-	for _, key := range s.Keys() {
-		rec, err := s.readRecord(key)
-		if errors.Is(err, ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		lsn++
-		var buf []byte
-		buf, chain = appendRecordBytes(buf, rec.kind, lsn, rec.key, rec.payload, chain)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return len(s.index)
 }
 
 // Stats returns a point-in-time summary.
@@ -795,18 +696,13 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Puts:          s.puts.Load(),
 		Gets:          s.gets.Load(),
-		Deletes:       s.deletes.Load(),
 		GroupCommits:  s.groupCommits.Load(),
 		CommitWaiters: s.commitWaiters.Load(),
 		Compactions:   s.compactions.Load(),
 		Recovery:      s.recovery,
 	}
 	s.mu.RLock()
-	for _, loc := range s.index {
-		if !loc.deleted {
-			st.Profiles++
-		}
-	}
+	st.Profiles = len(s.index)
 	st.Segments = len(s.segs)
 	for _, seg := range s.segs {
 		st.DiskBytes += seg.size.Load()
@@ -818,7 +714,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Close stops background compaction and flushes the active segment. The
-// store stays readable (Get/Keys/Iterate); mutations fail with ErrClosed.
+// store stays readable (Get/Keys/Summary); mutations fail with ErrClosed.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil

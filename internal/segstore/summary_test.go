@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,8 +17,8 @@ import (
 	"repro/internal/hrtf"
 )
 
-// encodeProfileV1 writes p as the version 1 codec did: the body follows
-// the version directly, with no summary.
+// encodeProfileV1 writes p as the version 1 codec did, which this store
+// no longer reads: the body follows the version directly, with no summary.
 func encodeProfileV1(tb testing.TB, p *Profile) []byte {
 	tb.Helper()
 	v2, err := EncodeProfile(p) // magic, version 2, empty summary (one 0 byte), body
@@ -27,7 +28,7 @@ func encodeProfileV1(tb testing.TB, p *Profile) []byte {
 	if v2[6] != 0 {
 		tb.Fatalf("EncodeProfile wrote a %d-byte summary, want none", v2[6])
 	}
-	v1 := binary.LittleEndian.AppendUint16(bytes.Clone(v2[:4]), payloadVersion1)
+	v1 := binary.LittleEndian.AppendUint16(bytes.Clone(v2[:4]), 1)
 	return append(v1, v2[7:]...)
 }
 
@@ -35,7 +36,7 @@ func encodeProfileV1(tb testing.TB, p *Profile) []byte {
 // writer would have.
 func putRaw(tb testing.TB, s *Store, key string, payload []byte) {
 	tb.Helper()
-	seq, err := s.appendAndIndex(kindProfile, key, payload)
+	seq, err := s.appendAndIndex(key, payload)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,16 +47,15 @@ func putRaw(tb testing.TB, s *Store, key string, payload []byte) {
 
 func wantSummary(t *testing.T, s *Store, key string, want []byte) {
 	t.Helper()
-	got, lsn, ok := s.Summary(key)
-	if !ok || lsn == 0 || !bytes.Equal(got, want) || (want == nil) != (got == nil) {
-		t.Fatalf("Summary(%q) = %q, lsn %d, %v; want %q", key, got, lsn, ok, want)
+	got, ok := s.Summary(key)
+	if !ok || !bytes.Equal(got, want) || (want == nil) != (got == nil) {
+		t.Fatalf("Summary(%q) = %q, %v; want %q", key, got, ok, want)
 	}
 }
 
 // TestSummaryTravelsWithTheRecord: a summary written by PutWithSummary is
-// served from the index after the Put, after a reopen (the scan), after
-// compaction relocates the record and in a store opened from a Snapshot,
-// and DecodeProfile skips it.
+// served from the index after the Put, after compaction relocates the
+// record and after a reopen (the scan), and DecodeProfile skips it.
 func TestSummaryTravelsWithTheRecord(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{NoSync: true, DisableCompaction: true, SegmentBytes: 4 << 10})
@@ -85,7 +85,7 @@ func TestSummaryTravelsWithTheRecord(t *testing.T) {
 			profilesBitsEqual(t, testProfile(u, 3, 24, i), got)
 		}
 		wantSummary(t, s, "bare", nil)
-		if _, _, ok := s.Summary("nobody"); ok {
+		if _, ok := s.Summary("nobody"); ok {
 			t.Fatal("Summary found an absent key")
 		}
 	}
@@ -106,17 +106,6 @@ func TestSummaryTravelsWithTheRecord(t *testing.T) {
 		t.Fatal("nothing compacted")
 	}
 	check(s)
-	if err := s.Delete("user-0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Summary("user-0"); ok {
-		t.Fatal("Summary found a deleted key")
-	}
-	delete(sums, "user-0")
-	var snap bytes.Buffer
-	if err := s.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +116,6 @@ func TestSummaryTravelsWithTheRecord(t *testing.T) {
 	}
 	defer reopened.Close()
 	check(reopened)
-
-	snapDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(snapDir, segName(1)), snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := Open(snapDir, Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromSnap.Close()
-	check(fromSnap)
 }
 
 // TestPayloadSummaryBounds: an over-long summary is refused on write and
@@ -165,49 +143,46 @@ func TestPayloadSummaryBounds(t *testing.T) {
 	}
 }
 
-// TestV1PayloadsStayReadable: a store whose records hold version 1
-// payloads opens, indexes them with no summary and reads them bit for bit,
-// before and after a reopen and a compaction.
-func TestV1PayloadsStayReadable(t *testing.T) {
+// TestV1PayloadsRefused: a record whose payload is in the version 1
+// form, which carried no summary, is indexed like any record whose body
+// cannot be read: its key is listed with no summary, and Get returns a
+// decode error rather than a profile or ErrNotFound, before and after a
+// reopen. Records beside it read as usual.
+func TestV1PayloadsRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, DisableCompaction: true, SegmentBytes: 4 << 10})
+	s, err := Open(dir, Options{NoSync: true, DisableCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 5
-	for i := 0; i < n; i++ {
-		u := fmt.Sprintf("user-%02d", i)
-		putRaw(t, s, u, encodeProfileV1(t, testProfile(u, 3, 24, int64(i))))
+	putRaw(t, s, "old", encodeProfileV1(t, testProfile("old", 3, 24, 1)))
+	if err := s.PutWithSummary(testProfile("new", 3, 24, 2), []byte("sum")); err != nil {
+		t.Fatal(err)
 	}
 	check := func(s *Store) {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			u := fmt.Sprintf("user-%02d", i)
-			wantSummary(t, s, u, nil)
-			got, err := s.Get(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			profilesBitsEqual(t, testProfile(u, 3, 24, int64(i)), got)
+		if got := s.Keys(); len(got) != 2 || got[0] != "new" || got[1] != "old" {
+			t.Fatalf("Keys() = %v, want [new old]", got)
 		}
+		wantSummary(t, s, "old", nil)
+		if p, err := s.Get("old"); err == nil || errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of a version 1 record = %v, %v; want a decode error", p, err)
+		}
+		wantSummary(t, s, "new", []byte("sum"))
+		got, err := s.Get("new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		profilesBitsEqual(t, testProfile("new", 3, 24, 2), got)
 	}
 	check(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(dir, Options{NoSync: true, DisableCompaction: true, SegmentBytes: 4 << 10})
+	s, err = Open(dir, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	check(s)
-	if err := s.Delete("user-00"); err != nil { // gives the first segment dead bytes
-		t.Fatal(err)
-	}
-	putRaw(t, s, "user-00", encodeProfileV1(t, testProfile("user-00", 3, 24, 0)))
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	check(s)
 }
 
@@ -244,7 +219,7 @@ func writeSegment(tb testing.TB, path string, users []string, payload func(user 
 	chain := chainSeed
 	var buf []byte
 	for i, u := range users {
-		buf, chain = appendRecordBytes(buf[:0], kindProfile, uint64(i+1), u, payload(u), chain)
+		buf, chain = appendRecordBytes(buf[:0], uint64(i+1), u, payload(u), chain)
 		w.Write(buf)
 	}
 	if err := w.Flush(); err != nil {
@@ -280,7 +255,7 @@ func TestOpenDoesNotCopyPayloads(t *testing.T) {
 	for i := range users {
 		users[i] = fmt.Sprintf("u%03d", i)
 	}
-	summary := make([]byte, 106) // the service's prior sample: 8 bands
+	summary := make([]byte, 33) // the service's prior sample
 	// Encode once and write each user's name over the first one's (they
 	// have the same length): encoding is most of this test's time.
 	p.User = users[0]

@@ -8,18 +8,10 @@ import (
 	"repro/internal/prior"
 )
 
-// priorSpectrumBands is the spectral-signature resolution fitted into the
-// population prior. Small on purpose: the regression has three inputs.
-const priorSpectrumBands = 8
-
 // priorSampleOf is a profile's contribution to the population prior. Store
-// computes it once per Put and keeps it in the record's summary.
+// takes it on every Put and keeps it in the record's summary.
 func priorSampleOf(p *StoredProfile) prior.Sample {
-	return prior.Sample{
-		Params:      p.HeadParams,
-		ResidualDeg: p.MeanResidualDeg,
-		Spectrum:    prior.SpectralSignature(p.Table, priorSpectrumBands),
-	}
+	return prior.Sample{Params: p.HeadParams, ResidualDeg: p.MeanResidualDeg}
 }
 
 // priorManager owns the service's population prior: one model fitted at
@@ -115,7 +107,7 @@ func (m *priorManager) refit() {
 	if len(samples) < m.min {
 		return
 	}
-	model, err := prior.Fit(samples, prior.FitOptions{})
+	model, err := prior.Fit(samples)
 	if err != nil {
 		m.log.Warn("prior refit failed", "profiles", len(samples), "err", err)
 		return

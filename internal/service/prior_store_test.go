@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -20,9 +21,9 @@ import (
 	"repro/internal/segstore"
 )
 
-// priorPopulation returns n profiles with distinct head geometries,
-// residuals and far-field levels, so every part of the prior (mean,
-// components, spectral map) has something to fit.
+// priorPopulation returns n profiles with distinct head geometries and
+// residuals, so both the prior's mean and its spread have something to
+// fit.
 func priorPopulation(n int) []*StoredProfile {
 	ps := make([]*StoredProfile, n)
 	for i := range ps {
@@ -33,12 +34,6 @@ func priorPopulation(n int) []*StoredProfile {
 			C: 0.091 + 0.001*float64(i),
 		}
 		p.MeanResidualDeg = 1 + 0.25*float64(i)
-		for j := range p.Table.Far {
-			for k := range p.Table.Far[j].Left {
-				p.Table.Far[j].Left[k] *= 1 + 0.1*float64(i)
-				p.Table.Far[j].Right[k] *= 1 - 0.05*float64(i)
-			}
-		}
 		ps[i] = p
 	}
 	return ps
@@ -61,8 +56,7 @@ func putAll(t *testing.T, dir string, ps []*StoredProfile) {
 }
 
 // referenceModel fits the prior the way refits did before records carried
-// their sample: decode every profile, in sorted user order, and take its
-// signature from the decoded table.
+// their sample: decode every profile, in sorted user order.
 func referenceModel(t *testing.T, dir string) *prior.Model {
 	t.Helper()
 	seg, err := segstore.Open(dir, segstore.Options{ReadOnly: true})
@@ -76,13 +70,9 @@ func referenceModel(t *testing.T, dir string) *prior.Model {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples = append(samples, prior.Sample{
-			Params:      p.HeadParams,
-			ResidualDeg: p.MeanResidualDeg,
-			Spectrum:    prior.SpectralSignature(p.Table, priorSpectrumBands),
-		})
+		samples = append(samples, prior.Sample{Params: p.HeadParams, ResidualDeg: p.MeanResidualDeg})
 	}
-	m, err := prior.Fit(samples, prior.FitOptions{})
+	m, err := prior.Fit(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +250,8 @@ func TestPriorRefitsCoalesce(t *testing.T) {
 
 // writeV1Store writes ps as a store written before records carried a
 // summary: one segment of profile records whose payloads use the version
-// 1 codec (the body right after the version).
+// 1 codec (the body right after the version), which the store no longer
+// reads.
 func writeV1Store(t *testing.T, dir string, ps []*StoredProfile) {
 	t.Helper()
 	seg := append([]byte("UQSEG\x00\x00\x01"), 1, 0, 0, 0, 0, 0, 0, 0) // magic, version 1, padding
@@ -293,48 +284,54 @@ func writeV1Store(t *testing.T, dir string, ps []*StoredProfile) {
 	}
 }
 
-// TestPriorFitsV1Store: a store written before records carried a summary
-// opens and reads bit-identically, and its node fits the same model as
-// one over summarized records. Each old record is decoded once per
-// process, outside the LRU: a second refit decodes nothing.
-func TestPriorFitsV1Store(t *testing.T) {
+// TestPriorLeavesOutOlderRecords: records in forms older than the 33-byte
+// sample are left out of the prior, like any record whose sample cannot be
+// read. One holds a version 1 payload, with no summary and a body this
+// codec refuses; another a summary that still carries the spectral
+// signature after the residual. The node starts and fits over the other
+// records, decoding no profile. Reading the version 1 record fails, and
+// not as a missing profile; the other record's body still reads.
+func TestPriorLeavesOutOlderRecords(t *testing.T) {
 	ps := priorPopulation(6)
-	v1, v2 := t.TempDir(), t.TempDir()
-	writeV1Store(t, v1, ps)
-	putAll(t, v2, ps)
+	dir := t.TempDir()
+	writeV1Store(t, dir, ps[:1])
+	seg, err := segstore.Open(dir, segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, err := priorSampleOf(ps[1]).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSignature := append(sample, 8) // the band count, then 8 bands
+	withSignature = append(withSignature, make([]byte, 8*8)...)
+	if err := seg.PutWithSummary(ps[1], withSignature); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	putAll(t, dir, ps[2:])
 
-	svc := startPriorService(t, v1)
-	if gets := svc.Store().SegStats().Gets; gets != uint64(len(ps)) {
-		t.Fatalf("start-up decoded %d v1 records, want each of %d once", gets, len(ps))
+	svc := startPriorService(t, dir)
+	if gets := svc.Store().SegStats().Gets; gets != 0 {
+		t.Fatalf("start-up decoded %d profiles, want 0", gets)
 	}
-	if c := cacheOf(svc.Store()); fmt.Sprint(c) != fmt.Sprint(cacheState{}) {
-		t.Fatalf("start-up touched the LRU: %+v", c)
+	var samples []prior.Sample
+	for _, p := range ps[2:] {
+		samples = append(samples, priorSampleOf(p))
 	}
-	sameModel(t, svc.PriorModel(), startPriorService(t, v2).PriorModel())
-	sameModel(t, svc.PriorModel(), referenceModel(t, v1))
-	svc.prior.refit()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if n := len(svc.Store().PriorSamples()); n != len(ps) {
-				t.Errorf("PriorSamples returned %d samples, want %d", n, len(ps))
-			}
-		}()
+	want, err := prior.Fit(samples)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if gets := svc.Store().SegStats().Gets; gets != uint64(len(ps)) {
-		t.Fatalf("later refits decoded %d more v1 records", gets-uint64(len(ps)))
+	sameModel(t, svc.PriorModel(), want)
+	if p, err := svc.Store().Get(ps[0].User); err == nil || errors.Is(err, ErrProfileNotFound) {
+		t.Fatalf("Get of a version 1 record = %v, %v; want a read error", p, err)
 	}
-	for _, p := range ps {
-		got, err := svc.Store().Get(p.User)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.HeadParams != p.HeadParams || got.MeanResidualDeg != p.MeanResidualDeg {
-			t.Fatalf("%s read back %+v", p.User, got)
-		}
-		tablesBitsEqual(t, p.Table, got.Table)
+	got, err := svc.Store().Get(ps[1].User)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tablesBitsEqual(t, ps[1].Table, got.Table)
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prior"
 	"repro/internal/render"
-	"repro/internal/segstore"
 )
 
 // Config assembles a Service.
@@ -23,12 +22,6 @@ type Config struct {
 	StoreDir string
 	// CacheSize bounds the in-memory profile cache (default 128).
 	CacheSize int
-	// StoreSegmentBytes rolls the profile store to a new segment file past
-	// this size (default 64 MiB).
-	StoreSegmentBytes int64
-	// StoreCompactRatio triggers background segment compaction once this
-	// fraction of a sealed segment's bytes is dead (default 0.5).
-	StoreCompactRatio float64
 	// Workers / QueueDepth / JobTimeout tune the solve pool (see
 	// PoolConfig).
 	Workers    int
@@ -95,10 +88,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Pipeline.Observer == nil {
 		cfg.Pipeline.Observer = obs.NewPipelineObserver(reg, cfg.Logger)
 	}
-	store, err := OpenStoreWith(cfg.StoreDir, cfg.CacheSize, segstore.Options{
-		SegmentBytes: cfg.StoreSegmentBytes,
-		CompactRatio: cfg.StoreCompactRatio,
-	})
+	store, err := OpenStore(cfg.StoreDir, cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}

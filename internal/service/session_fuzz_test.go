@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +17,7 @@ import (
 // The one exemption is a body DecodeSubmit refuses as past a session cap,
 // which must hold more objects than core.MaxSessionStops.
 // Nothing may panic, and every session Validate accepts must be one the
-// solver can index: a finite positive sample rate, a probe, an IMU log,
+// solver can index: a sample rate within the session caps, a probe, an IMU log,
 // and at least one stop whose two channels are non-empty and equally long.
 func FuzzSubmitRequest(f *testing.F) {
 	valid, err := json.Marshal(SubmitRequest{User: "alice", Input: tinySession()})
@@ -80,7 +79,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		if in.Validate() != nil {
 			return
 		}
-		if math.IsNaN(in.SampleRate) || math.IsInf(in.SampleRate, 0) || in.SampleRate <= 0 {
+		if !(in.SampleRate >= core.MinSessionSampleRate && in.SampleRate <= core.MaxSessionSampleRate) {
 			t.Fatalf("accepted sample rate %v", in.SampleRate)
 		}
 		if len(in.Probe) == 0 || len(in.IMU) == 0 || len(in.Stops) == 0 {

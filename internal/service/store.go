@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -52,12 +51,6 @@ type Store struct {
 	order    *list.List               // front = most recently used
 	inflight map[string]*loadCall     // user -> in-progress cold read
 
-	// legacy remembers the prior samples of records that carry no summary
-	// (written before records carried one), by user, with the LSN of the
-	// record decoded, so PriorSamples decodes each at most once.
-	legacyMu sync.Mutex
-	legacy   map[string]legacySample
-
 	hits, misses, notFound, evictions atomic.Uint64
 
 	// putStall, when set, runs during Put's disk-write section while no
@@ -89,9 +82,6 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 	if dir == "" {
 		return nil, errors.New("service: store needs a directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: create store dir: %w", err)
-	}
 	if cacheCap <= 0 {
 		cacheCap = 128
 	}
@@ -105,7 +95,6 @@ func OpenStoreWith(dir string, cacheCap int, opt segstore.Options) (*Store, erro
 		byKey:    make(map[string]*list.Element),
 		order:    list.New(),
 		inflight: make(map[string]*loadCall),
-		legacy:   make(map[string]legacySample),
 	}
 	return s, nil
 }
@@ -194,44 +183,19 @@ func (s *Store) Get(user string) (*StoredProfile, error) {
 	return p, err
 }
 
-type legacySample struct {
-	lsn    uint64
-	sample prior.Sample
-}
-
 // PriorSamples returns every stored profile's population prior sample, in
 // sorted user order, from the summaries the records carry: an index walk
-// that decodes no profile and leaves the LRU untouched. A record without a
-// summary is decoded straight from the segment store, past the LRU, and
-// its sample remembered until the user's record changes. A user whose
-// record cannot be read (a racing deletion, a corrupt record) is left out.
+// that decodes no profile and leaves the LRU untouched. A record whose
+// summary is not a sample (one written by an older codec) is left out.
 func (s *Store) PriorSamples() []prior.Sample {
 	users := s.seg.Keys()
 	samples := make([]prior.Sample, 0, len(users))
-	s.legacyMu.Lock()
-	defer s.legacyMu.Unlock()
 	for _, u := range users {
-		summary, lsn, ok := s.seg.Summary(u)
-		if !ok {
-			continue
-		}
+		summary, ok := s.seg.Summary(u)
 		var smp prior.Sample
-		if smp.UnmarshalBinary(summary) == nil {
-			delete(s.legacy, u)
+		if ok && smp.UnmarshalBinary(summary) == nil {
 			samples = append(samples, smp)
-			continue
 		}
-		if l, ok := s.legacy[u]; ok && l.lsn == lsn {
-			samples = append(samples, l.sample)
-			continue
-		}
-		p, err := s.seg.Get(u)
-		if err != nil || p.Table == nil {
-			continue
-		}
-		smp = priorSampleOf(p)
-		s.legacy[u] = legacySample{lsn: lsn, sample: smp}
-		samples = append(samples, smp)
 	}
 	return samples
 }

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/segstore"
 )
 
 // TestPutDoesNotBlockCachedReads pins the satellite fix for the old store,
@@ -137,5 +141,18 @@ func TestStoreUsersIsIndexRead(t *testing.T) {
 	}
 	if len(users) != 2 || users[0] != "amy" || users[1] != "zed" {
 		t.Fatalf("Users() = %v, want [amy zed]", users)
+	}
+}
+
+// TestOpenStoreReadOnlyMissingDir: a read-only store open (uniqctl store
+// stat) of a directory that does not exist fails and creates nothing.
+func TestOpenStoreReadOnlyMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "typo")
+	if s, err := OpenStoreWith(dir, 1, segstore.Options{ReadOnly: true}); err == nil {
+		s.Close()
+		t.Fatal("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("read-only open left %s behind (stat: %v)", dir, err)
 	}
 }

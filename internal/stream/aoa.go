@@ -72,7 +72,7 @@ type AoATracker struct {
 
 	events []AngleEvent // reused across pushes
 
-	windows, estErrs, overruns uint64
+	windows, overruns uint64
 }
 
 // NewAoATracker builds a tracker over a table's far field.
@@ -150,11 +150,6 @@ func (tr *AoATracker) Overruns() uint64 { return tr.overruns }
 // Windows returns how many estimation windows have been evaluated.
 func (tr *AoATracker) Windows() uint64 { return tr.windows }
 
-// EstimateErrors returns how many windows failed to produce an estimate
-// (e.g. silence with no detectable relative-channel peak); such windows
-// emit no event.
-func (tr *AoATracker) EstimateErrors() uint64 { return tr.estErrs }
-
 // Push appends stereo samples (per-ear slices; the shorter length wins)
 // and returns the angle events produced by the windows this push
 // completed. Samples beyond the pending bound are dropped and counted as
@@ -172,11 +167,11 @@ func (tr *AoATracker) Push(left, right []float64) []AngleEvent {
 
 	events := tr.events[:0]
 	for len(tr.left) >= tr.window {
+		// A window without an estimate (e.g. silence with no detectable
+		// relative-channel peak) emits no event.
 		est, err := tr.est.Estimate(tr.left[:tr.window], tr.right[:tr.window])
 		tr.windows++
-		if err != nil {
-			tr.estErrs++
-		} else {
+		if err == nil {
 			events = append(events, tr.update(est))
 		}
 		copy(tr.left, tr.left[tr.hop:])
